@@ -30,7 +30,7 @@ from .errors import (
     SpecError,
     UnknownFamily,
 )
-from .perms import Permutation, close_generators, parse_cycles
+from .perms import Permutation, parse_cycles
 
 __all__ = [
     "MAX_ORDER",
@@ -50,10 +50,10 @@ __all__ = [
 
 MAX_ORDER = 10000
 
-# Exhaustive associativity checking is cubic; above this order we fall back
-# to Light's test against a generating set (or seeded random triples).
-_EXHAUSTIVE_ASSOC_LIMIT = 512
-_RANDOM_TRIPLES = 1_000_000
+# Light's test compares (xg)y with x(gy) over all x, y for one generator g
+# at a time, in blocks of rows holding about this many cells, so the
+# temporaries stay near 4M cells whatever the order.
+_LIGHT_BLOCK_CELLS = 4_000_000
 
 
 def _is_prime(n: int) -> bool:
@@ -275,15 +275,20 @@ class GroupTable:
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            rows = self.rows
-            orders = [1] * self.order
-            for g in range(1, self.order):
-                x, k = g, 1
-                while x != 0:
-                    x = rows[x][g]
-                    k += 1
-                orders[g] = k
-            self._orders = orders
+            # Power every non-identity element at once; x holds active^k.
+            T = self.table
+            orders = np.ones(self.order, dtype=np.int64)
+            active = x = np.arange(1, self.order)
+            k = 1
+            while active.size:
+                x = T[x, active]
+                k += 1
+                done = x == 0
+                if done.any():
+                    orders[active[done]] = k
+                    keep = ~done
+                    active, x = active[keep], x[keep]
+            self._orders = orders.tolist()
         return self._orders
 
     def __repr__(self) -> str:
@@ -324,32 +329,67 @@ class TableReport:
         return self.ok
 
 
-def _closure_from(rows: list[list[int]], gens: tuple[int, ...], n: int) -> set[int]:
-    members = {0}
-    stack = [0]
+def _generating_set(T: np.ndarray, generators: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """``generators`` extended until their closure is the whole table.
+
+    The closure is taken under right multiplication starting from the
+    identity, breadth-first over numpy frontiers.  While it misses an
+    element, the least missing element is added as a generator, so with no
+    generators given this is the greedy generating set of the table.
+    """
+    n = int(T.shape[0])
+    gens = list(dict.fromkeys(int(g) for g in generators if g))
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    owner = np.empty(n, dtype=np.intp)
+    frontier = np.zeros(1, dtype=np.intp)
+    while True:
+        cols = np.asarray(gens, dtype=np.intp)
+        while frontier.size and cols.size:
+            step = T[frontier[:, None], cols].ravel()
+            step = step[~seen[step]]
+            seen[step] = True
+            # Keep one copy of each new element: exactly one position wins
+            # each repeated write to owner.
+            pos = np.arange(step.size)
+            owner[step] = pos
+            frontier = step[owner[step] == pos]
+        missing = int(seen.argmin())
+        if seen[missing]:
+            return tuple(gens)
+        gens.append(missing)
+        frontier = np.flatnonzero(seen)
+
+
+def _light_witness(T: np.ndarray, gens: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """First (x, g, y) with (xg)y != x(gy) for a generator g, or None."""
+    n = int(T.shape[0])
+    block = max(1, _LIGHT_BLOCK_CELLS // n)
     for g in gens:
-        if g not in members:
-            members.add(g)
-            stack.append(g)
-    while stack:
-        x = stack.pop()
-        row = rows[x]
-        for g in gens:
-            y = row[g]
-            if y not in members:
-                members.add(y)
-                stack.append(y)
-    return members
+        col_g = T[:, g]
+        row_g = T[g, :]
+        for start in range(0, n, block):
+            stop = min(n, start + block)
+            lhs = T[col_g[start:stop], :]
+            rhs = T[start:stop, :][:, row_g]
+            if not np.array_equal(lhs, rhs):
+                x_off, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
+                return (start + x_off, g, y)
+    return None
 
 
-def verify_table(
-    table, generators: tuple[int, ...] | None = None, seed: int = 0
-) -> TableReport:
+def verify_table(table, generators: tuple[int, ...] | None = None) -> TableReport:
     """Check that a square index table is a group table with identity 0.
 
-    Associativity is checked exhaustively up to order 512.  Above that a
-    generating set enables Light's associativity test; without one, one
-    million seeded random triples are checked.
+    After the shape, identity, Latin-square and two-sided-inverse checks,
+    associativity is decided exactly, at every order, by Light's test over
+    a generating set: ``generators``, extended greedily with the least
+    element outside their closure when they are missing or do not generate
+    the table.  This is exact because A = {a : (xa)y = x(ay) for all x, y}
+    contains the identity and is closed under products, as
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y); so once A holds
+    a set whose closure under right multiplication from the identity is
+    the whole table, A is the whole table.
     """
     T = np.asarray(table)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -375,44 +415,10 @@ def verify_table(
     if not two_sided.all():
         return TableReport(False, "NoInverse", (int(np.argwhere(~two_sided)[0][0]),))
 
-    if n <= _EXHAUSTIVE_ASSOC_LIMIT:
-        for a in range(n):
-            lhs = T[T[a], :]
-            rhs = T[a, T]
-            if not np.array_equal(lhs, rhs):
-                b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                return TableReport(False, "NotAssociative", (a, b, c))
-        return TableReport(True, method="exhaustive")
-
-    rows = T.tolist()
-    if generators and _closure_from(rows, tuple(generators), n) == set(range(n)):
-        step = max(1, 4_000_000 // n)
-        for g in generators:
-            col_g = T[:, g]
-            row_g = T[g, :]
-            for start in range(0, n, step):
-                stop = min(n, start + step)
-                lhs = T[col_g[start:stop], :]
-                rhs = T[start:stop, :][:, row_g]
-                if not np.array_equal(lhs, rhs):
-                    a_off, b = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                    return TableReport(False, "NotAssociative", (start + a_off, int(g), b))
-        return TableReport(True, method="light")
-
-    rng = np.random.default_rng(seed)
-    remaining = _RANDOM_TRIPLES
-    while remaining > 0:
-        batch = min(remaining, 250_000)
-        a = rng.integers(0, n, size=batch)
-        b = rng.integers(0, n, size=batch)
-        c = rng.integers(0, n, size=batch)
-        lhs = T[T[a, b], c]
-        rhs = T[a, T[b, c]]
-        if not np.array_equal(lhs, rhs):
-            i = int(np.argwhere(lhs != rhs)[0][0])
-            return TableReport(False, "NotAssociative", (int(a[i]), int(b[i]), int(c[i])))
-        remaining -= batch
-    return TableReport(True, method="randomized")
+    witness = _light_witness(T, _generating_set(T, generators or ()))
+    if witness is not None:
+        return TableReport(False, "NotAssociative", witness)
+    return TableReport(True, method="light")
 
 
 def _index_dtype(n: int):
@@ -430,16 +436,6 @@ def _make_group(
             f"{report.code} {report.witness}"
         )
     return GroupTable(table, meta, generators)
-
-
-def _greedy_generators(rows: list[list[int]], n: int) -> tuple[int, ...]:
-    gens: list[int] = []
-    members = {0}
-    while len(members) < n:
-        g = min(x for x in range(n) if x not in members)
-        gens.append(g)
-        members = _closure_from(rows, tuple(gens), n)
-    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +638,7 @@ def _build_cayley_file(path: str, spec_text: str) -> GroupTable:
     if not report.ok:
         raise InvalidRawTable(report.code, report.witness)
     table = table.astype(_index_dtype(n))
-    gens = _greedy_generators(table.tolist(), n) if n > 1 else ()
+    gens = _generating_set(table)
     meta = ConstructionMeta("cayley", spec_text, (n,))
     return GroupTable(np.ascontiguousarray(table), meta, gens)
 

@@ -1,4 +1,4 @@
-"""Permutations on 0-based points, cycle-notation parsing, and closure.
+"""Permutations on 0-based points and cycle-notation parsing.
 
 Cycle notation in files and messages is 1-based, matching the usual
 convention for permutation group data; in-memory points are 0-based.
@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import re
 
-from .errors import CycleNotationError, OrderLimitExceeded
+from .errors import CycleNotationError
 
 __all__ = [
     "Permutation",
     "parse_cycles",
     "format_cycles",
-    "close_generators",
 ]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -143,37 +142,3 @@ def format_cycles(perm: Permutation) -> str:
             nxt = perm.images[nxt]
         parts.append("(" + ",".join(str(p + 1) for p in cyc) + ")")
     return "".join(parts) if parts else "()"
-
-
-def close_generators(
-    generators: list[Permutation], max_order: int | None = 10000
-) -> list[Permutation]:
-    """All elements of the group generated by ``generators``.
-
-    Ordering is deterministic: breadth-first from the identity, and within
-    each new layer elements are sorted lexicographically by image tuple, so
-    element numbering never depends on generator order.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    degree = max(g.degree for g in generators)
-    gens = sorted({g.extended(degree) for g in generators})
-    identity = Permutation.identity(degree)
-    elements: list[Permutation] = [identity]
-    seen: set[tuple[int, ...]] = {identity.images}
-    layer = [identity]
-    while layer:
-        found: set[Permutation] = set()
-        for x in layer:
-            for g in gens:
-                y = x * g
-                if y.images not in seen:
-                    seen.add(y.images)
-                    found.add(y)
-        layer = sorted(found)
-        elements.extend(layer)
-        if max_order is not None and len(elements) > max_order:
-            raise OrderLimitExceeded(
-                f"closure exceeded {max_order} elements; raise the limit to build this group"
-            )
-    return elements

@@ -276,6 +276,20 @@ def test_lattice_limit_exit_3_and_flag_positions():
     assert before.returncode == after.returncode == 3
 
 
+def test_check_rejects_non_associative_cayley_file(tmp_path):
+    # C1024 with one intercalate swapped: Latin, identity 0, two-sided
+    # inverses, and only associativity fails.
+    n, h = 1024, 513
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for r in (1, h):
+        table[r][1], table[r][h] = table[r][h], table[r][1]
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"order": n, "table": table}), encoding="utf-8")
+    proc = run("check", f"cayley:{path}")
+    assert proc.returncode == 2
+    assert "invalid Cayley table: NotAssociative" in proc.stderr
+
+
 def test_seed_flag_is_accepted():
     proc = run("--seed", "42", "check", "D12")
     assert proc.returncode == 0

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from ecov.census import catalog
 from ecov.errors import (
     BadPrimePower,
     CycleNotationError,
@@ -31,7 +32,7 @@ from ecov.groups import (
     verify_table,
 )
 from ecov.lattice import normal_subgroups_direct
-from ecov.perms import Permutation, close_generators, format_cycles, parse_cycles
+from ecov.perms import format_cycles, parse_cycles
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -151,6 +152,19 @@ def test_psl_2_8_order_and_exponent(grp):
     assert exponent(G) == 126
 
 
+@pytest.mark.parametrize("spec", ["C1", "C30", "D208", "Q8", "A5", "E(3,3)", "C2xD10"])
+def test_element_orders_match_powering_loop(grp, spec):
+    G = grp(spec)
+    T = G.table.tolist()
+    expected = [1]
+    for g in range(1, G.order):
+        x, k = g, 1
+        while x != 0:
+            x, k = T[x][g], k + 1
+        expected.append(k)
+    assert G.element_orders() == expected
+
+
 def test_c2xc3_is_cyclic(grp):
     G = grp("C2xC3")
     assert max(element_order(G, g) for g in range(6)) == 6
@@ -182,7 +196,7 @@ def test_order_limit_enforced():
 
 def test_verify_accepts_real_tables(grp):
     report = verify_table(grp("S4").table)
-    assert report.ok and report.method == "exhaustive"
+    assert report.ok and report.method == "light"
 
 
 def test_verify_rejects_malformed_shapes():
@@ -221,27 +235,75 @@ def test_verify_rejects_one_sided_inverses():
     assert report.code == "NoInverse"
 
 
-def test_verify_rejects_non_associative_loop():
-    # Unital, latin, every element self-inverse; if associative it would be
-    # a group of order 5 with exponent 2, which is impossible.
-    loop = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    report = verify_table(loop)
-    assert report.code == "NotAssociative"
-    a, b, c = report.witness
-    T = np.array(loop)
+# Unital, latin, every element self-inverse; if associative it would be a
+# group of order 5 with exponent 2, which is impossible.
+_ORDER5_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _brute_force_associative(T) -> bool:
+    """The O(n^3) triple check, kept here as the reference for Light's test."""
+    T = np.asarray(T)
+    return all(np.array_equal(T[T[a], :], T[a, T]) for a in range(T.shape[0]))
+
+
+def _assert_fails_at(T, witness):
+    a, b, c = witness
     assert T[T[a, b], c] != T[a, T[b, c]]
+
+
+def _intercalate_cyclic(n: int) -> np.ndarray:
+    """C_n with one intercalate swapped: still a Latin square with identity 0
+    and two-sided inverses, but no longer associative."""
+    idx = np.arange(n)
+    T = (idx[:, None] + idx[None, :]) % n
+    h = 1 + n // 2
+    for r in (1, h):
+        T[r, 1], T[r, h] = T[r, h], T[r, 1]
+    return T
+
+
+def test_verify_rejects_non_associative_loop():
+    assert not _brute_force_associative(_ORDER5_LOOP)
+    report = verify_table(_ORDER5_LOOP)
+    assert report.code == "NotAssociative"
+    _assert_fails_at(np.array(_ORDER5_LOOP), report.witness)
+
+
+def test_light_verdict_matches_brute_force_on_catalog():
+    for entry in catalog(24):
+        G = build_group(entry.spec)
+        assert verify_table(G.table).ok == _brute_force_associative(G.table), entry.display
+
+
+@pytest.mark.parametrize("n", [8, 1024])
+def test_light_rejects_intercalate_swap(n):
+    T = _intercalate_cyclic(n)
+    report = verify_table(T)
+    assert report.code == "NotAssociative"
+    _assert_fails_at(T, report.witness)
+    assert not _brute_force_associative(T)
+
+
+def test_verify_with_non_generating_generators_stays_exact(grp):
+    # 3 generates a subgroup of order 2 in C6, and 4 one of order 2 in the
+    # swapped C8, so both generating sets are extended greedily.
+    assert verify_table(grp("C6").table, generators=(3,)).ok
+    loop = _intercalate_cyclic(8)
+    report = verify_table(loop, generators=(4,))
+    assert report.code == "NotAssociative"
+    _assert_fails_at(loop, report.witness)
 
 
 def test_verify_large_table_methods(grp):
     G = build_group("C601")
     assert verify_table(G.table, generators=(1,)).method == "light"
-    assert verify_table(G.table).method == "randomized"
+    assert verify_table(G.table).method == "light"
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +323,17 @@ def test_cycle_parsing_errors(text):
         parse_cycles(text)
 
 
-def test_close_generators_s3():
-    gens = [parse_cycles("(1,2)"), parse_cycles("(1,2,3)")]
-    elements = close_generators(gens)
-    assert len(elements) == 6
-    assert elements[0] == Permutation(range(3)).extended(3)
+def test_permutation_closure_s3():
+    G = build_group("S3")
+    assert G.order == 6
+    assert np.array_equal(G.table[0], np.arange(6))
 
 
-def test_close_generators_respects_limit():
-    gens = [parse_cycles("(1,2)"), parse_cycles("(1,2,3,4,5)")]
+def test_permutation_closure_respects_limit(tmp_path):
+    path = tmp_path / "s5.txt"
+    path.write_text("(1,2)\n(1,2,3,4,5)\n", encoding="utf-8")
     with pytest.raises(OrderLimitExceeded):
-        close_generators(gens, max_order=100)
+        build_group(f"perm:{path}", max_order=100)
 
 
 def test_psl27_from_permutation_file_matches_moebius_build(grp, tmp_path):
@@ -312,6 +374,17 @@ def test_cayley_file_roundtrip(grp, tmp_path):
     assert H.order == 12
     assert np.array_equal(H.table, G.table)
     assert exponent(H) == 6
+    # Greedy rule: add the least element outside the closure until it is all.
+    T = G.table.tolist()
+    gens, members = [], {0}
+    while len(members) < 12:
+        gens.append(min(set(range(12)) - members))
+        frontier = [0]
+        members = {0}
+        while frontier:
+            frontier = [T[x][g] for x in frontier for g in gens if T[x][g] not in members]
+            members.update(frontier)
+    assert H.generators == tuple(gens)
 
 
 def test_cayley_file_rejects_bad_tables(tmp_path):
