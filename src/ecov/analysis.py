@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedForOne
-from .groups import GroupTable, exponent, quotient
-from .lattice import Subgroup, SubgroupLattice, normal_closure, normal_subgroups_direct
+from .groups import GroupTable, _closure, exponent, quotient
+from .lattice import Subgroup, SubgroupLattice, element_conjugacy_classes, normal_closure
 
 __all__ = [
     "StructureReport",
@@ -74,9 +74,15 @@ def is_cyclic(G: GroupTable) -> bool:
     return G.order == 1 or max(G.element_orders()) == G.order
 
 
-def is_abelian(G: GroupTable) -> bool:
+def _central_mask(G: GroupTable) -> np.ndarray:
+    """Elements commuting with every generator, which is the center."""
     T = G.table
-    return bool((T == T.T).all())
+    gens = list(G.generators)
+    return (T[gens, :] == T[:, gens].T).all(axis=0)
+
+
+def is_abelian(G: GroupTable) -> bool:
+    return bool(_central_mask(G).all())
 
 
 def p_group_prime(G: GroupTable) -> int | None:
@@ -93,9 +99,7 @@ def is_p_group(G: GroupTable) -> bool:
 
 def center_members(G: GroupTable) -> tuple[int, ...]:
     """Indices commuting with everything."""
-    T = G.table
-    out = [x for x in range(G.order) if np.array_equal(T[x], T[:, x])]
-    return tuple(out)
+    return tuple(_central_mask(G).nonzero()[0].tolist())
 
 
 def is_nilpotent(G: GroupTable) -> bool:
@@ -111,12 +115,22 @@ def is_nilpotent(G: GroupTable) -> bool:
 
 
 def is_simple(G: GroupTable, L: SubgroupLattice | None = None) -> bool:
-    """Exactly two normal subgroups (lattice flags or a class-closure scan)."""
-    if G.order == 1:
+    """Exactly two normal subgroups, read from the lattice or the table.
+
+    An abelian group is simple iff its order is prime.  Otherwise each
+    non-identity conjugacy class generates its own normal closure, and every
+    nontrivial normal subgroup contains one, so G is simple iff every class
+    generates G; the smallest classes are tried first.
+    """
+    n = G.order
+    if n == 1:
         return False
     if L is not None:
         return sum(L.normal_flags) == 2
-    return len(normal_subgroups_direct(G)) == 2
+    if is_abelian(G):
+        return factorize(n) == {n: 1}
+    classes = sorted(element_conjugacy_classes(G)[1:], key=len)
+    return all(2 * _closure(G.table, c, stop_above_half=True).sum() > n for c in classes)
 
 
 def has_klein_quotient(G: GroupTable, L: SubgroupLattice) -> Subgroup | None:
@@ -175,7 +189,9 @@ def structure_report(G: GroupTable, L: SubgroupLattice | None = None) -> Structu
     cyc = is_cyclic(G)
     ab = cyc or is_abelian(G)
     p = p_group_prime(G)
-    nil = ab or (p is not None) or is_nilpotent(G)
+    center = center_members(G)
+    # G is nilpotent iff G/Z(G) is; a nontrivial nilpotent group has Z > 1.
+    nil = ab or (p is not None) or (len(center) > 1 and is_nilpotent(quotient(G, center)[0]))
     return StructureReport(
         order=G.order,
         exponent=exponent(G),
@@ -187,7 +203,7 @@ def structure_report(G: GroupTable, L: SubgroupLattice | None = None) -> Structu
         is_simple=is_simple(G, L),
         order_is_square_free=is_square_free_distinct_primes(G.order),
         smallest_prime_divisor=None if G.order == 1 else smallest_prime_divisor(G.order),
-        center_order=len(center_members(G)),
+        center_order=len(center),
     )
 
 

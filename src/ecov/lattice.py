@@ -14,7 +14,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .errors import LatticeLimitExceeded
-from .groups import GroupTable
+from .groups import GroupTable, _closure
 
 __all__ = [
     "FULL_LATTICE_LIMIT",
@@ -107,13 +107,16 @@ def generated_subgroup(G: GroupTable, generators) -> Subgroup:
 
 def _conjugation_maps(G: GroupTable) -> list[list[int]]:
     """For each group generator g, the map x -> g x g^-1."""
-    rows = G.rows
-    maps = []
-    for g in G.generators:
-        ginv = G.inverse[g]
-        grow = rows[g]
-        maps.append([rows[grow[x]][ginv] for x in range(G.order)])
-    return maps
+    T = G.table
+    return [T[T[g], G.inverse[g]].tolist() for g in G.generators]
+
+
+def _conjugate_mask(cmap: list[int], H: Subgroup) -> int:
+    """Bitmask of the image of H under one conjugation map."""
+    conj = 0
+    for x in H.members:
+        conj |= 1 << cmap[x]
+    return conj
 
 
 @dataclass(eq=False)
@@ -165,19 +168,9 @@ class SubgroupLattice:
     def normal_flags(self) -> tuple[bool, ...]:
         if self._normal is None:
             maps = _conjugation_maps(self.group)
-            flags = []
-            for H in self.subgroups:
-                mask = H.mask
-                ok = True
-                for cmap in maps:
-                    conj = 0
-                    for x in H.members:
-                        conj |= 1 << cmap[x]
-                    if conj != mask:
-                        ok = False
-                        break
-                flags.append(ok)
-            self._normal = tuple(flags)
+            self._normal = tuple(
+                all(_conjugate_mask(cmap, H) == H.mask for cmap in maps) for H in self.subgroups
+            )
         return self._normal
 
     def _compute_classes(self) -> None:
@@ -194,10 +187,7 @@ class SubgroupLattice:
             while frontier:
                 S = frontier.pop()
                 for cmap in maps:
-                    conj = 0
-                    for x in S.members:
-                        conj |= 1 << cmap[x]
-                    j = self._by_mask[conj]
+                    j = self._by_mask[_conjugate_mask(cmap, S)]
                     if class_of[j] == -1:
                         class_of[j] = cid
                         orbit.append(j)
@@ -297,47 +287,13 @@ def conjugacy_classes_of_subgroups(L: SubgroupLattice) -> list[list[Subgroup]]:
 
 def is_normal(G: GroupTable, sub: Subgroup) -> bool:
     """Whether conjugation by every group generator preserves the subgroup."""
-    for cmap in _conjugation_maps(G):
-        conj = 0
-        for x in sub.members:
-            conj |= 1 << cmap[x]
-        if conj != sub.mask:
-            return False
-    return True
+    return all(_conjugate_mask(cmap, sub) == sub.mask for cmap in _conjugation_maps(G))
 
 
-def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
-    """Conjugacy classes of elements, sorted by least member."""
-    maps = _conjugation_maps(G)
-    n = G.order
-    assigned = [False] * n
-    classes = []
-    for start in range(n):
-        if assigned[start]:
-            continue
-        orbit = {start}
-        assigned[start] = True
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for cmap in maps:
-                y = cmap[x]
-                if not assigned[y]:
-                    assigned[y] = True
-                    orbit.add(y)
-                    queue.append(y)
-        classes.append(tuple(sorted(orbit)))
-    return classes
-
-
-def normal_closure(G: GroupTable, elements) -> Subgroup:
-    """Least normal subgroup containing the given elements."""
-    maps = _conjugation_maps(G)
-    rows = G.rows
-    n = G.order
-    seed = {int(x) for x in elements} | {0}
-    stable = set(seed)
-    queue = list(seed)
+def _conjugation_closure(maps: list[list[int]], elements) -> set[int]:
+    """The union of the conjugacy classes of the given elements."""
+    stable = set(elements)
+    queue = list(stable)
     while queue:
         x = queue.pop()
         for cmap in maps:
@@ -345,11 +301,32 @@ def normal_closure(G: GroupTable, elements) -> Subgroup:
             if y not in stable:
                 stable.add(y)
                 queue.append(y)
-    # stable is conjugation-closed, so the subgroup it generates is normal.
-    members = _closure_members(rows, stable, tuple(sorted(stable - {0})), n)
-    if members is None:
+    return stable
+
+
+def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
+    """Conjugacy classes of elements, sorted by least member."""
+    maps = _conjugation_maps(G)
+    assigned: set[int] = set()
+    classes = []
+    for start in range(G.order):
+        if start not in assigned:
+            orbit = _conjugation_closure(maps, (start,))
+            assigned |= orbit
+            classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def normal_closure(G: GroupTable, elements) -> Subgroup:
+    """Least normal subgroup containing the given elements."""
+    n = G.order
+    seed = {int(x) for x in elements} | {0}
+    # A conjugation-closed set generates a normal subgroup.
+    stable = _conjugation_closure(_conjugation_maps(G), seed)
+    mask = _closure(G.table, sorted(stable - {0}), stop_above_half=True)
+    if 2 * mask.sum() > n:
         return Subgroup(((1 << n) - 1), tuple(range(n)), G.generators)
-    return Subgroup.from_members(members, tuple(sorted(seed - {0})))
+    return Subgroup.from_members(mask.nonzero()[0].tolist(), tuple(sorted(seed - {0})))
 
 
 def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:

@@ -72,6 +72,14 @@ def test_square_free():
         ("PSL(2,7)", False, False, False, False, True),
         ("W", False, False, False, False, False),
         ("C6xC2", False, True, False, True, False),
+        ("E(2,4)", False, True, True, True, False),
+        ("S6", False, False, False, False, False),
+        ("C2xA5", False, False, False, False, False),
+        ("A6", False, False, False, False, True),
+        ("A7", False, False, False, False, True),
+        ("PSL(2,16)", False, False, False, False, True),
+        ("C1510", True, True, False, True, False),
+        ("C1600", True, True, False, True, False),
     ],
 )
 def test_predicate_table(grp, spec, cyclic, abelian, pgroup, nilpotent, simple):
@@ -81,6 +89,29 @@ def test_predicate_table(grp, spec, cyclic, abelian, pgroup, nilpotent, simple):
     assert is_p_group(G) is pgroup
     assert is_nilpotent(G) is nilpotent
     assert is_simple(G) is simple
+
+
+def test_is_simple_matches_classification_over_catalog():
+    # By the classification, the non-abelian simple groups of order below
+    # 360 have order 60 (A5 = PSL(2,4) = PSL(2,5)) or 168 (PSL(2,7)); the
+    # abelian ones have prime order.
+    for entry in catalog(240):
+        G = build_group(entry.spec)
+        expected = factorize(G.order) == {G.order: 1} or entry.display in (
+            "A5", "PSL(2,4)", "PSL(2,5)", "PSL(2,7)"
+        )
+        assert is_simple(G) is expected, entry.display
+        # The generator-only center and abelian tests against all pairs.
+        T = G.table
+        assert center_members(G) == tuple(x for x in range(G.order) if (T[x] == T[:, x]).all())
+        assert is_abelian(G) is bool((T == T.T).all())
+
+
+@pytest.mark.parametrize("spec", ["A7", "C1600"])
+def test_structure_report_leaves_rows_unbuilt(spec):
+    G = build_group(spec)
+    structure_report(G)
+    assert G._rows is None
 
 
 def test_p_group_prime(grp):

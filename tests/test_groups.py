@@ -21,6 +21,7 @@ from ecov.errors import (
     UnknownFamily,
 )
 from ecov.groups import (
+    _generating_set,
     build_group,
     direct_product,
     element_order,
@@ -485,3 +486,18 @@ def test_quotient_rejects_non_normal_and_non_subgroups(grp):
         quotient(G, (0, 1, 2))  # not closed
     with pytest.raises(NotNormal):
         quotient(G, (1, 2))  # missing identity
+
+
+def test_stored_generators_generate_the_table(grp, tmp_path):
+    # The center, the conjugation maps and is_normal test against the stored
+    # generators alone, so every builder must store a generating set.
+    groups = [build_group(entry.spec) for entry in catalog(240)]
+    groups += [build_group(spec) for spec in ("A7", "PSL(2,16)", "C1510", "W")]
+    C7, C3 = grp("C7"), grp("C3")
+    groups.append(semidirect_product(C7, C3, [tuple(h * 2**k % 7 for h in range(7)) for k in range(3)]))
+    groups.append(quotient(grp("D12"), (0, 2, 4))[0])
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"order": 24, "table": grp("S4").table.tolist()}), encoding="utf-8")
+    groups.append(build_group(f"cayley:{path}"))
+    for G in groups:
+        assert _generating_set(G.table, G.generators) == G.generators, G.meta.name
