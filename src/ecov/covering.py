@@ -579,7 +579,7 @@ def _min_set_cover(
         best_sets = ()
     if best <= stop_at:
         return best, best_sets
-    max_gain = max(m.bit_count() for m in masks)
+    max_gain = max((m & target).bit_count() for m in masks)
     element_sets: dict[int, list[int]] = {}
     for x in range(target.bit_length()):
         if (target >> x) & 1:

@@ -243,6 +243,7 @@ class GroupTable:
         "_rows",
         "_orders",
         "_exponent",
+        "_lattice",
         "__weakref__",
     )
 
@@ -257,6 +258,7 @@ class GroupTable:
         self._rows: list[list[int]] | None = None
         self._orders: list[int] | None = None
         self._exponent: int | None = None
+        self._lattice = None  # the SubgroupLattice, set by lattice.get_lattice
 
     @property
     def rows(self) -> list[list[int]]:

@@ -1,17 +1,19 @@
 """Subgroup enumeration and lattice annotations.
 
 Subgroups are stored as bitmasks over element indices plus sorted member
-tuples.  The full lattice is found by cyclic extension: every subgroup is
-some chain of one-generator extensions of the trivial subgroup, and only
-the least element of each coset needs to be tried as the new generator.
+tuples.  The full lattice is found by cyclic extension up to conjugacy
+(Neubueser's method): only one representative per conjugacy class is
+extended, by the least element of each right coset it does not cover, and
+each new subgroup's class is filled in from the conjugation maps.  The
+classes come out of the enumeration, and a subgroup is normal exactly when
+its class has one member.
 Normal-subgroup and conjugacy machinery that does not need the full
 lattice (normal closures, class-closure enumeration) lives here too, so
 decision rules can run on groups too large to enumerate fully.
 """
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import LatticeLimitExceeded
 from .groups import GroupTable, _closure
@@ -121,18 +123,31 @@ def _conjugate_mask(cmap: list[int], H: Subgroup) -> int:
 
 @dataclass(eq=False)
 class SubgroupLattice:
-    """Every subgroup of a group, with lazily computed annotations."""
+    """Every subgroup of a group, its conjugacy classes and lazy annotations.
 
-    group: GroupTable
+    Built from the subgroups and their conjugation orbits.  ``classes`` lists
+    the subgroup indices of each orbit in ascending order, and the classes
+    are numbered by their least index.  It holds the group's order, not the
+    group, so a group and its cached lattice form no reference cycle.
+    """
+
+    order: int
     subgroups: tuple[Subgroup, ...]
-    _by_mask: dict = field(default_factory=dict, repr=False)
+    orbits: InitVar[list[list[Subgroup]]]
+    classes: tuple[tuple[int, ...], ...] = field(init=False)
+    class_of: tuple[int, ...] = field(init=False, repr=False)
+    _by_mask: dict = field(init=False, repr=False)
     _maximal: tuple[bool, ...] | None = field(default=None, repr=False)
-    _normal: tuple[bool, ...] | None = field(default=None, repr=False)
-    _classes: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
-    _class_of: tuple[int, ...] | None = field(default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, orbits):
         self._by_mask = {s.mask: i for i, s in enumerate(self.subgroups)}
+        index = self._by_mask
+        self.classes = tuple(sorted(tuple(sorted(index[S.mask] for S in orbit)) for orbit in orbits))
+        class_of = [0] * len(self.subgroups)
+        for cid, cls in enumerate(self.classes):
+            for i in cls:
+                class_of[i] = cid
+        self.class_of = tuple(class_of)
 
     def index_of(self, mask: int) -> int:
         return self._by_mask[mask]
@@ -143,7 +158,7 @@ class SubgroupLattice:
     @property
     def maximal_flags(self) -> tuple[bool, ...]:
         if self._maximal is None:
-            n = self.group.order
+            n = self.order
             subs = self.subgroups
             flags = []
             for i, H in enumerate(subs):
@@ -166,62 +181,50 @@ class SubgroupLattice:
 
     @property
     def normal_flags(self) -> tuple[bool, ...]:
-        if self._normal is None:
-            maps = _conjugation_maps(self.group)
-            self._normal = tuple(
-                all(_conjugate_mask(cmap, H) == H.mask for cmap in maps) for H in self.subgroups
-            )
-        return self._normal
-
-    def _compute_classes(self) -> None:
-        maps = _conjugation_maps(self.group)
-        class_of = [-1] * len(self.subgroups)
-        classes: list[tuple[int, ...]] = []
-        for start, H in enumerate(self.subgroups):
-            if class_of[start] != -1:
-                continue
-            cid = len(classes)
-            orbit = [start]
-            class_of[start] = cid
-            frontier = [H]
-            while frontier:
-                S = frontier.pop()
-                for cmap in maps:
-                    j = self._by_mask[_conjugate_mask(cmap, S)]
-                    if class_of[j] == -1:
-                        class_of[j] = cid
-                        orbit.append(j)
-                        frontier.append(self.subgroups[j])
-            classes.append(tuple(sorted(orbit)))
-        self._classes = tuple(classes)
-        self._class_of = tuple(class_of)
-
-    @property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
-
-    @property
-    def class_of(self) -> tuple[int, ...]:
-        if self._class_of is None:
-            self._compute_classes()
-        return self._class_of
+        """A subgroup is normal exactly when its conjugacy class is itself alone."""
+        return tuple(len(self.classes[c]) == 1 for c in self.class_of)
 
     def __len__(self) -> int:
         return len(self.subgroups)
 
 
 def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> SubgroupLattice:
-    """All subgroups of G by cyclic extension with coset-minimum pruning."""
+    """All subgroups of G by cyclic extension of one representative per class.
+
+    Every subgroup K is <H, g> for a proper subgroup H.  If H = R^x for the
+    representative R of its class, then K^(x^-1) = <R, g^(x^-1)> is an
+    extension of R, so extending representatives reaches every class.  When
+    an extension is new, a BFS over the conjugation maps adds its whole class.
+    """
     n = G.order
     if n > limit:
         raise LatticeLimitExceeded(
             f"group order {n} exceeds the lattice limit {limit}; raise --lattice-limit to force"
         )
     rows = G.rows
+    identity = list(range(n))
+    maps = [cmap for cmap in _conjugation_maps(G) if cmap != identity]
+    seen: dict[int, Subgroup] = {}
+    orbits: list[list[Subgroup]] = []
+
+    def add_class(K: Subgroup) -> None:
+        seen[K.mask] = K
+        orbit = [K]
+        for S in orbit:
+            for cmap in maps:
+                mask = _conjugate_mask(cmap, S)
+                if mask not in seen:
+                    C = Subgroup(
+                        mask,
+                        tuple(sorted(cmap[x] for x in S.members)),
+                        tuple(cmap[g] for g in S.generators),
+                    )
+                    seen[mask] = C
+                    orbit.append(C)
+        orbits.append(orbit)
+
     trivial = Subgroup.from_members((0,), ())
-    seen: dict[int, Subgroup] = {trivial.mask: trivial}
+    add_class(trivial)
     worklist: list[Subgroup] = [trivial]
     full_mask = (1 << n) - 1
     while worklist:
@@ -242,25 +245,20 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
             else:
                 K = Subgroup.from_members(members, gens)
             if K.mask not in seen:
-                seen[K.mask] = K
+                add_class(K)
                 if K.order < n:
                     worklist.append(K)
     if full_mask not in seen:
-        seen[full_mask] = Subgroup(full_mask, tuple(range(n)), G.generators)
+        add_class(Subgroup(full_mask, tuple(range(n)), G.generators))
     subs = tuple(sorted(seen.values(), key=lambda s: (s.order, s.members)))
-    return SubgroupLattice(G, subs)
-
-
-_LATTICE_CACHE: "weakref.WeakKeyDictionary[GroupTable, SubgroupLattice]" = weakref.WeakKeyDictionary()
+    return SubgroupLattice(n, subs, orbits)
 
 
 def get_lattice(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> SubgroupLattice:
-    """Cached full lattice of G."""
-    L = _LATTICE_CACHE.get(G)
-    if L is None:
-        L = enumerate_subgroups(G, limit)
-        _LATTICE_CACHE[G] = L
-    return L
+    """Full lattice of G, cached on G so that it is freed with G."""
+    if G._lattice is None:
+        G._lattice = enumerate_subgroups(G, limit)
+    return G._lattice
 
 
 def subgroups_of_order(L: SubgroupLattice, d: int) -> list[Subgroup]:

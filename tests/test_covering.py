@@ -10,6 +10,8 @@ import pytest
 from ecov.covering import (
     INFINITY,
     Certificate,
+    _Budget,
+    _min_set_cover,
     decide,
     decide_with_hints,
     epsilon,
@@ -29,7 +31,7 @@ from ecov.errors import (
     SpecError,
 )
 from ecov.groups import build_group, exponent, semidirect_product
-from ecov.lattice import get_lattice
+from ecov.lattice import get_lattice, maximal_subgroups
 
 HINTS_DIR = "src/ecov/data/hints"
 
@@ -428,6 +430,28 @@ def test_sigma_primitive_values(grp, spec, value):
 def test_sigma_matches_brute_force(grp, spec):
     G = grp(spec)
     assert sigma(G).value == brute_sigma(G, get_lattice(G))
+
+
+@pytest.mark.parametrize(
+    "spec,order,value",
+    [("S4", None, 4), ("E(2,3)", 4, 3), ("E(2,4)", 4, 5), ("E(2,4)", 8, 3), ("E(3,2)", 3, 4)],
+)
+def test_set_cover_bound_ignores_the_identity_bit(grp, spec, order, value):
+    """The target leaves out the identity, so bit 0 of the masks must change nothing.
+
+    With stop_at 0 the search has to prove optimality, so the node count shows
+    whether the lower bound counted the identity as coverable.
+    """
+    G = grp(spec)
+    L = get_lattice(G)
+    subs = maximal_subgroups(L) if order is None else L.of_order(order)
+    target = ((1 << G.order) - 1) & ~1
+    runs = []
+    for masks in ([s.mask for s in subs], [s.mask & ~1 for s in subs]):
+        budget = _Budget(10**6)
+        runs.append((_min_set_cover(masks, target, 0, budget), budget.nodes))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == value
 
 
 def test_sigma_of_cyclic_is_infinite(grp):

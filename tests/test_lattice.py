@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from ecov.census import catalog
 from ecov.errors import LatticeLimitExceeded
 from ecov.groups import build_group
 from ecov.lattice import (
@@ -89,6 +93,72 @@ def test_enumeration_is_deterministic(grp):
 def test_lattice_cache_reuses_object(grp):
     G = grp("A4")
     assert get_lattice(G) is get_lattice(G)
+
+
+def test_lattice_cache_frees_the_group():
+    G = build_group("S4")
+    get_lattice(G)
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
+
+
+def test_lattice_cache_frees_the_group_without_the_cycle_collector():
+    # A reference cycle between a group and its lattice would keep both
+    # alive until the next full collection, so memory use would depend on
+    # when that happens to run.
+    gc.disable()
+    try:
+        G = build_group("PSL(2,7)")
+        get_lattice(G)
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "spec,subgroups,classes",
+    [
+        ("S4", 30, 11),
+        ("A5", 59, 9),
+        ("PSL(2,7)", 179, 15),
+        ("A6", 501, 22),
+        ("PSL(2,9)", 501, 22),
+        ("PSL(2,8)", 386, 12),
+        ("PSL(2,11)", 620, 16),
+    ],
+)
+def test_subgroup_and_class_counts_match_theory(grp, spec, subgroups, classes):
+    L = get_lattice(grp(spec))
+    assert (len(L.subgroups), len(L.classes)) == (subgroups, classes)
+
+
+def test_lattice_masks_are_subgroups_and_classes_are_orbits():
+    """Over catalog(60): closure under the product, and each class one full orbit.
+
+    Orbits are taken under conjugation by every element, not only by the
+    generators the enumerator uses.
+    """
+    for entry in catalog(60):
+        G = build_group(entry.spec)
+        L = get_lattice(G)
+        T = G.table
+        for s in L.subgroups:
+            inside = np.zeros(G.order, dtype=bool)
+            inside[list(s.members)] = True
+            assert inside[T[np.ix_(s.members, s.members)]].all(), entry.display
+        assert sorted(i for cls in L.classes for i in cls) == list(range(len(L.subgroups)))
+        assert [cls[0] for cls in L.classes] == sorted(cls[0] for cls in L.classes)
+        for cid, cls in enumerate(L.classes):
+            members = np.array(L.subgroups[cls[0]].members)
+            orbit = {
+                tuple(sorted(T[T[g, members], G.inverse[g]].tolist())) for g in range(G.order)
+            }
+            assert orbit == {L.subgroups[i].members for i in cls}, entry.display
+            assert all(L.class_of[i] == cid for i in cls)
 
 
 def test_lattice_limit_enforced():
