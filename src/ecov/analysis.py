@@ -142,13 +142,14 @@ def has_klein_quotient(G: GroupTable, L: SubgroupLattice) -> Subgroup | None:
     n = G.order
     if n % 4:
         return None
-    rows = G.rows
+    squares = np.diagonal(G.table)
     normal = L.normal_flags
     for i, H in enumerate(L.subgroups):
         if H.order * 4 != n or not normal[i]:
             continue
-        mask = H.mask
-        if all((mask >> rows[g][g]) & 1 for g in range(n)):
+        inside = np.zeros(n, dtype=bool)
+        inside[list(H.members)] = True
+        if inside[squares].all():
             return H
     return None
 
@@ -218,17 +219,17 @@ def elementary_abelian_quotient(G: GroupTable, p: int) -> tuple[int, Subgroup]:
     of generators; the quotient G/N is then abelian of exponent dividing p,
     and any normal subgroup with such a quotient contains N.
     """
-    rows = G.rows
+    T = G.table
     inv = G.inverse
     gens = G.generators
     seed: set[int] = set()
     for a in gens:
         for b in gens:
-            seed.add(rows[rows[rows[a][b]][inv[a]]][inv[b]])
+            seed.add(int(T[T[T[a, b], inv[a]], inv[b]]))
         x = a
         for _ in range(p - 1):
-            x = rows[x][a]
-        seed.add(x)
+            x = T[x, a]
+        seed.add(int(x))
     N = normal_closure(G, seed)
     index = G.order // N.order
     k = 0
@@ -254,7 +255,7 @@ def index_p_subgroups(G: GroupTable, p: int) -> list[tuple[int, ...]]:
     # Coordinates of Q over GF(p): grow a basis greedily.
     coords: dict[int, tuple[int, ...]] = {0: ()}
     basis: list[int] = []
-    qrows = Q.rows
+    QT = Q.table
     for q in range(1, Q.order):
         if q in coords:
             continue
@@ -264,7 +265,7 @@ def index_p_subgroups(G: GroupTable, p: int) -> list[tuple[int, ...]]:
         for x, vx in spanned:
             y = x
             for j in range(1, p):
-                y = qrows[y][q]
+                y = int(QT[y, q])
                 coords[y] = vx + tuple(0 for _ in range(dim - len(vx))) + (j,)
     kk = len(basis)
     full_coords = {q: v + (0,) * (kk - len(v)) for q, v in coords.items()}

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -267,26 +266,16 @@ def run_census(
 ) -> CensusResult:
     """Decide every entry (plus hint files, if given) and collect problems.
 
-    Entries are decided independently, so worker count never affects any
-    reported value; rows come back sorted by (order, name).
+    Entries are decided one after another, in order, so errors are reported
+    in entry order; rows come back sorted by (order, name).  ``jobs`` is
+    accepted for interface compatibility and has no effect.
     """
     result = CensusResult()
-
-    def worker(entry: CatalogEntry) -> CensusRow | None:
+    for entry in entries:
         try:
-            return _decide_entry(entry, lattice_limit)
+            row = _decide_entry(entry, lattice_limit)
         except EcovError as exc:
             result.errors.append(f"{entry.display}: {exc}")
-            return None
-
-    if jobs <= 1:
-        decided = [worker(e) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            decided = list(pool.map(worker, entries))
-
-    for entry, row in zip(entries, decided):
-        if row is None:
             continue
         result.rows.append(row)
         if entry.expected_status is not None and not _expectation_met(

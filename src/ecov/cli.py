@@ -226,7 +226,7 @@ def _cmd_hints_check(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
     parser.add_argument("--jobs", type=int, default=d(1), metavar="N",
-                        help="worker threads for batch runs (never changes reported values)")
+                        help="accepted for interface compatibility; batch runs are serial")
     parser.add_argument("--lattice-limit", type=int, default=d(FULL_LATTICE_LIMIT), metavar="N",
                         help="largest group order whose full subgroup lattice may be enumerated")
     parser.add_argument("--seed", type=int, default=d(0), metavar="N",

@@ -16,6 +16,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analysis import (
     elementary_abelian_quotient,
     factorize,
@@ -34,7 +36,7 @@ from .errors import (
     SearchBudgetExceeded,
     SpecError,
 )
-from .groups import GroupTable, exponent, quotient
+from .groups import GroupTable, _is_prime, exponent, quotient
 from .lattice import (
     FULL_LATTICE_LIMIT,
     SubgroupLattice,
@@ -173,16 +175,12 @@ class CertificateReport:
 
 
 def _is_subgroup(G: GroupTable, members: tuple[int, ...]) -> bool:
-    mset = set(members)
-    if 0 not in mset or len(mset) != len(members):
+    if 0 not in members or len(set(members)) != len(members):
         return False
-    rows = G.rows
-    for a in members:
-        row = rows[a]
-        for b in members:
-            if row[b] not in mset:
-                return False
-    return True
+    m = np.asarray(members, dtype=np.intp)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[m] = True
+    return bool(inside[G.table[np.ix_(m, m)]].all())
 
 
 def _mask(members) -> int:
@@ -441,10 +439,15 @@ def _rules_ladder(
             _verify_yes(G, cert, "RuleC3_Semidirect")
             return _decision("Yes", "RuleC3_Semidirect", cert, t0)
 
-    # (8) pull back along a quotient with an equal covering
-    normals = normal_subgroups_direct(G)
+    # (8) simple with exponent |G|/2; a simple group has no proper quotient
+    if is_simple(G):
+        if 2 * e == n:
+            return _decision("No", "RuleP2_SimpleHalfExp", None, t0)
+        return None
+
+    # (9) pull back along a quotient with an equal covering
     if depth < 3:
-        for N in sorted(normals, key=lambda s: (-s.order, s.members)):
+        for N in sorted(normal_subgroups_direct(G), key=lambda s: (-s.order, s.members)):
             if N.order in (1, n):
                 continue
             Q, proj = quotient(G, N.members)
@@ -455,10 +458,6 @@ def _rules_ladder(
                 cert = _preimage_certificate(sub.certificate, proj, n)
                 _verify_yes(G, cert, "RuleT21_Quotient")
                 return _decision("Yes", "RuleT21_Quotient", cert, t0)
-
-    # (9) simple with exponent |G|/2
-    if len(normals) == 2 and 2 * e == n:
-        return _decision("No", "RuleP2_SimpleHalfExp", None, t0)
 
     return None
 
@@ -816,12 +815,3 @@ def equal_partition_exists(
             _verify_yes(G, cert, "equal_partition_exists")
             return True, cert
     return False, None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True

@@ -231,6 +231,8 @@ class ConstructionMeta:
 class GroupTable:
     """Immutable multiplication table with identity at index 0.
 
+    ``table`` is the only form of the group: scalar reads go to the array,
+    and loops that need plain lists build them from it for one call.
     ``generators`` must generate it: the center and conjugation maps use them alone.
     """
 
@@ -240,7 +242,6 @@ class GroupTable:
         "inverse",
         "meta",
         "generators",
-        "_rows",
         "_orders",
         "_exponent",
         "_lattice",
@@ -255,34 +256,20 @@ class GroupTable:
         self.inverse = tuple(int(x) for x in inv)
         self.meta = meta
         self.generators = tuple(int(g) for g in generators)
-        self._rows: list[list[int]] | None = None
         self._orders: list[int] | None = None
         self._exponent: int | None = None
         self._lattice = None  # the SubgroupLattice, set by lattice.get_lattice
 
-    @property
-    def rows(self) -> list[list[int]]:
-        """Plain nested lists; much faster than the array for scalar loops.
-
-        Cached at about 40 bytes a cell (2.5 GB for M11), so only scalar-loop
-        paths build it: lattice enumeration (and so the searches),
-        ``normal_subgroups_direct``, ``quotient``, ``semidirect_product``,
-        certificate checks and the elementary-quotient helpers.
-        """
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
-
     def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        rows = self.rows
-        return rows[rows[g][x]][self.inverse[g]]
+        T = self.table
+        return int(T[T[g, x], self.inverse[g]])
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
@@ -704,21 +691,16 @@ def semidirect_product(H: GroupTable, K: GroupTable, action) -> GroupTable:
     must be an automorphism of H and the whole map a homomorphism from K.
     """
     phi = _as_action(K, H, action)
-    TH, TK = H.rows, K.rows
-    for k, images in enumerate(phi):
-        for a in range(H.order):
-            row = TH[a]
-            ia = images[a]
-            for b in range(H.order):
-                if images[row[b]] != TH[ia][images[b]]:
-                    raise InvalidAction(f"action of K element {k} is not an automorphism of H")
+    TH, TK = H.table, K.table
+    P = np.asarray(phi, dtype=np.intp)
+    for k in range(K.order):
+        if not np.array_equal(P[k][TH], TH[np.ix_(P[k], P[k])]):
+            raise InvalidAction(f"action of K element {k} is not an automorphism of H")
+    # Row k1 compares phi(k1 k2) with phi(k1) o phi(k2) for every k2.
     for k1 in range(K.order):
-        p1 = phi[k1]
-        for k2 in range(K.order):
-            p2 = phi[k2]
-            composed = tuple(p1[p2[h]] for h in range(H.order))
-            if phi[TK[k1][k2]] != composed:
-                raise NotHomomorphism(f"action is not a homomorphism at the pair ({k1}, {k2})")
+        bad = (P[TK[k1]] != P[k1][P]).any(axis=1)
+        if bad.any():
+            raise NotHomomorphism(f"action is not a homomorphism at the pair ({k1}, {int(bad.argmax())})")
     nH, nK = H.order, K.order
     n = nH * nK
     if n > MAX_ORDER:
@@ -761,36 +743,27 @@ def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
     mem = sorted({int(x) for x in members})
     if not mem or mem[0] != 0:
         raise NotNormal("subgroup must contain the identity")
-    rows = G.rows
-    mset = set(mem)
-    for a in mem:
-        row = rows[a]
-        for b in mem:
-            if row[b] not in mset:
-                raise NotNormal(f"member set is not closed: {a}*{b} escapes")
+    T = G.table
+    m = np.asarray(mem, dtype=np.intp)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[m] = True
+    escapes = ~inside[T[np.ix_(m, m)]]
+    if escapes.any():
+        i, j = np.argwhere(escapes)[0]
+        raise NotNormal(f"member set is not closed: {mem[i]}*{mem[j]} escapes")
     for g in G.generators:
-        ginv = G.inverse[g]
-        for x in mem:
-            if rows[rows[g][x]][ginv] not in mset:
-                raise NotNormal(f"subgroup is not normal: conjugation by {g} moves {x} out")
-    n = G.order
-    proj = [-1] * n
-    reps: list[int] = []
-    for g in range(n):
-        if proj[g] != -1:
-            continue
-        c = len(reps)
-        reps.append(g)
-        row_lookup = rows
-        for h in mem:
-            proj[row_lookup[h][g]] = c
-    proj_arr = np.asarray(proj)
-    reps_arr = np.asarray(reps)
-    qtable = proj_arr[np.asarray(G.table)[np.ix_(reps_arr, reps_arr)]]
+        moved = ~inside[T[T[g, m], G.inverse[g]]]
+        if moved.any():
+            raise NotNormal(f"subgroup is not normal: conjugation by {g} moves {mem[moved.argmax()]} out")
+    # Column g of T[m] is the coset Ng; numbering the cosets by their least
+    # members makes the image of the identity coset 0.
+    reps, proj = np.unique(T[m].min(axis=0), return_inverse=True)
+    qtable = proj[T[np.ix_(reps, reps)]]
+    proj = tuple(proj.tolist())
     gens = tuple(sorted({proj[g] for g in G.generators} - {0}))
     meta = ConstructionMeta("quotient", f"{G.meta.name}/N{len(mem)}", (len(mem),))
     Q = _make_group(qtable.astype(_index_dtype(len(reps))), meta, gens)
-    return Q, tuple(proj)
+    return Q, proj
 
 
 def build_group(spec: GroupSpec | str, max_order: int = MAX_ORDER) -> GroupTable:

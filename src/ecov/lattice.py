@@ -7,6 +7,12 @@ extended, by the least element of each right coset it does not cover, and
 each new subgroup's class is filled in from the conjugation maps.  The
 classes come out of the enumeration, and a subgroup is normal exactly when
 its class has one member.
+The lattice, the normal-subgroup scan and the conjugacy classes share one
+list kernel, ``_close``: a seed closed under index maps, which are the
+columns of the table (right multiplications) or the conjugation maps.  Its
+many short closures run faster on Python lists than on numpy; the lists are
+built once per call and dropped with it.  Wide closures from a few
+generators use the numpy ``groups._closure``.
 Normal-subgroup and conjugacy machinery that does not need the full
 lattice (normal closures, class-closure enumeration) lives here too, so
 decision rules can run on groups too large to enumerate fully.
@@ -71,40 +77,42 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={self.members[:6]}{'...' if self.order > 6 else ''})"
 
 
-def _closure_members(
-    rows: list[list[int]], seed, gens: tuple[int, ...], n: int, early_full: bool = True
-) -> set[int] | None:
-    """Close a seed set under right multiplication by the generators.
+def _close(maps: list[list[int]], seed, half: int | None = None) -> set[int] | None:
+    """The seed closed under a list of index maps, by a list-based search.
 
-    Returns None when the closure is certainly the whole group: a partial
-    closure larger than n/2 forces the final subgroup to be everything.
+    Right multiplication by g is the map ``cols[g]`` with
+    ``cols = G.table.T.tolist()``.  With ``half`` given, returns None once the
+    set has more than ``half`` elements: for a seed holding the identity
+    closed under right multiplications, more than n/2 elements means the
+    whole group (Lagrange).
     """
     members = set(seed)
-    members.add(0)
-    half = n // 2
     queue = list(members)
     while queue:
         x = queue.pop()
-        row = rows[x]
-        for g in gens:
-            y = row[g]
+        for m in maps:
+            y = m[x]
             if y not in members:
                 members.add(y)
                 queue.append(y)
-        if early_full and len(members) > half:
+        if half is not None and len(members) > half:
             return None
     return members
+
+
+def _generated(G: GroupTable, gens, recorded: tuple[int, ...]) -> Subgroup:
+    """<gens>, recording ``recorded`` as its generators unless it is all of G."""
+    n = G.order
+    mask = _closure(G.table, gens, stop_above_half=True)
+    if 2 * mask.sum() > n:
+        return Subgroup((1 << n) - 1, tuple(range(n)), G.generators)
+    return Subgroup.from_members(mask.nonzero()[0].tolist(), recorded)
 
 
 def generated_subgroup(G: GroupTable, generators) -> Subgroup:
     """The subgroup generated by the given element indices."""
     gens = tuple(sorted({int(g) for g in generators} - {0}))
-    if not gens:
-        return Subgroup.from_members((0,), ())
-    members = _closure_members(G.rows, gens, gens, G.order)
-    if members is None:
-        return Subgroup.from_members(range(G.order), G.generators)
-    return Subgroup.from_members(members, gens)
+    return _generated(G, gens, gens)
 
 
 def _conjugation_maps(G: GroupTable) -> list[list[int]]:
@@ -201,7 +209,7 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
         raise LatticeLimitExceeded(
             f"group order {n} exceeds the lattice limit {limit}; raise --lattice-limit to force"
         )
-    rows = G.rows
+    cols = G.table.T.tolist()
     identity = list(range(n))
     maps = [cmap for cmap in _conjugation_maps(G) if cmap != identity]
     seen: dict[int, Subgroup] = {}
@@ -236,10 +244,10 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
                 continue
             minima.append(g)
             for h in H.members:
-                covered |= 1 << rows[h][g]
+                covered |= 1 << cols[g][h]
         for g in minima:
             gens = H.generators + (g,)
-            members = _closure_members(rows, H.members + (g,), gens, n)
+            members = _close([cols[x] for x in gens], H.members + (g,), n // 2)
             if members is None:
                 K = Subgroup(full_mask, tuple(range(n)), G.generators or gens)
             else:
@@ -288,20 +296,6 @@ def is_normal(G: GroupTable, sub: Subgroup) -> bool:
     return all(_conjugate_mask(cmap, sub) == sub.mask for cmap in _conjugation_maps(G))
 
 
-def _conjugation_closure(maps: list[list[int]], elements) -> set[int]:
-    """The union of the conjugacy classes of the given elements."""
-    stable = set(elements)
-    queue = list(stable)
-    while queue:
-        x = queue.pop()
-        for cmap in maps:
-            y = cmap[x]
-            if y not in stable:
-                stable.add(y)
-                queue.append(y)
-    return stable
-
-
 def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
     """Conjugacy classes of elements, sorted by least member."""
     maps = _conjugation_maps(G)
@@ -309,7 +303,7 @@ def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
     classes = []
     for start in range(G.order):
         if start not in assigned:
-            orbit = _conjugation_closure(maps, (start,))
+            orbit = _close(maps, (start,))
             assigned |= orbit
             classes.append(tuple(sorted(orbit)))
     return classes
@@ -317,14 +311,10 @@ def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
 
 def normal_closure(G: GroupTable, elements) -> Subgroup:
     """Least normal subgroup containing the given elements."""
-    n = G.order
     seed = {int(x) for x in elements} | {0}
     # A conjugation-closed set generates a normal subgroup.
-    stable = _conjugation_closure(_conjugation_maps(G), seed)
-    mask = _closure(G.table, sorted(stable - {0}), stop_above_half=True)
-    if 2 * mask.sum() > n:
-        return Subgroup(((1 << n) - 1), tuple(range(n)), G.generators)
-    return Subgroup.from_members(mask.nonzero()[0].tolist(), tuple(sorted(seed - {0})))
+    stable = _close(_conjugation_maps(G), seed)
+    return _generated(G, sorted(stable - {0}), tuple(sorted(seed - {0})))
 
 
 def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:
@@ -335,7 +325,7 @@ def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:
     and a subgroup generated by a conjugation-stable set is normal.
     """
     n = G.order
-    rows = G.rows
+    cols = G.table.T.tolist()
     classes = element_conjugacy_classes(G)
     trivial = Subgroup.from_members((0,), ())
     seen: dict[int, Subgroup] = {trivial.mask: trivial}
@@ -350,7 +340,7 @@ def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:
                 continue
             seed = set(N.members) | set(cls)
             gens = tuple(sorted(seed - {0}))
-            members = _closure_members(rows, seed, gens, n)
+            members = _close([cols[x] for x in gens], seed, n // 2)
             if members is None:
                 K = Subgroup(full_mask, tuple(range(n)), G.generators)
             else:

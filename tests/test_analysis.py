@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from ecov.analysis import (
@@ -108,10 +110,17 @@ def test_is_simple_matches_classification_over_catalog():
 
 
 @pytest.mark.parametrize("spec", ["A7", "C1600"])
-def test_structure_report_leaves_rows_unbuilt(spec):
+def test_structure_report_builds_no_square_list(spec):
+    # A nested-list copy of the table costs about 40 bytes a cell: 254 MB
+    # for A7 and 102 MB for C1600.
     G = build_group(spec)
-    structure_report(G)
-    assert G._rows is None
+    tracemalloc.start()
+    try:
+        structure_report(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_p_group_prime(grp):

@@ -163,6 +163,16 @@ def test_census_jobs_do_not_change_output():
     assert emit(one.rows, format="json") == emit(many.rows, format="json")
 
 
+def test_census_reports_errors_in_entry_order(tmp_path):
+    entries = [
+        CatalogEntry(parse_group_spec(f"cayley:{tmp_path / name}"), name, 1, None, None)
+        for name in ("first.json", "second.json")
+    ]
+    result = run_census(entries, jobs=8)
+    assert result.rows == []
+    assert [e.split(":")[0] for e in result.errors] == ["first.json", "second.json"]
+
+
 def test_census_hint_rows():
     result = run_census([], hints_dir=HINTS_DIR)
     assert result.ok

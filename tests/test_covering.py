@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from ecov.covering import (
 from ecov.errors import (
     HintFileError,
     InconclusiveHints,
+    LatticeLimitExceeded,
     RulesInconclusive,
     SearchBudgetExceeded,
     SpecError,
@@ -253,6 +255,21 @@ def test_simple_half_exponent_rule(grp, spec):
     d = decide(G)
     assert d.status == "No"
     assert d.method == "RuleP2_SimpleHalfExp"
+
+
+def test_simple_group_above_the_lattice_limit_fails_fast():
+    # A7 is simple with 2 * exp(A7) = 840 != 2520, so no rule settles it.
+    # The lattice limit must be reached without an n^2 nested-list copy of
+    # the table, which costs about 254 MB for A7.
+    G = build_group("A7")
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeLimitExceeded):
+            decide(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("spec", ["S4", "A4"])

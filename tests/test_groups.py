@@ -488,6 +488,22 @@ def test_quotient_rejects_non_normal_and_non_subgroups(grp):
         quotient(G, (1, 2))  # missing identity
 
 
+def test_quotient_numbers_cosets_by_least_member_on_catalog():
+    # Checked against cosets built by hand.  The quotient rule's certificates
+    # are preimages under this projection, so the numbering is part of them.
+    for entry in catalog(60):
+        G = build_group(entry.spec)
+        rows = G.table.tolist()
+        for N in normal_subgroups_direct(G):
+            least = [min(rows[h][g] for h in N.members) for g in range(G.order)]
+            reps = sorted(set(least))
+            Q, proj = quotient(G, N.members)
+            assert proj == tuple(reps.index(x) for x in least), (entry.display, N.order)
+            p = np.asarray(proj)
+            assert Q.order * N.order == G.order
+            assert np.array_equal(Q.table[np.ix_(p, p)], p[G.table]), (entry.display, N.order)
+
+
 def test_stored_generators_generate_the_table(grp, tmp_path):
     # The center, the conjugation maps and is_normal test against the stored
     # generators alone, so every builder must store a generating set.

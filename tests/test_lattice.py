@@ -36,7 +36,7 @@ def brute_force_subgroups(G) -> set[tuple[int, ...]]:
     so this is exactly the subgroup collection.
     """
     n = G.order
-    rows = G.rows
+    rows = G.table.tolist()
     found = {(0,)}
     rest = [g for g in range(n) if g]
     for size in range(1, n):
