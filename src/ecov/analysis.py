@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedForOne
-from .groups import GroupTable, _closure, exponent, quotient
+from .groups import GroupTable, exponent, quotient
 from .lattice import Subgroup, SubgroupLattice, element_conjugacy_classes, normal_closure
 
 __all__ = [
@@ -117,10 +117,10 @@ def is_nilpotent(G: GroupTable) -> bool:
 def is_simple(G: GroupTable, L: SubgroupLattice | None = None) -> bool:
     """Exactly two normal subgroups, read from the lattice or the table.
 
-    An abelian group is simple iff its order is prime.  Otherwise each
-    non-identity conjugacy class generates its own normal closure, and every
-    nontrivial normal subgroup contains one, so G is simple iff every class
-    generates G; the smallest classes are tried first.
+    An abelian group is simple iff its order is prime.  Otherwise every
+    nontrivial normal subgroup contains the normal closure of some
+    non-identity element, so G is simple iff each such closure is G; one
+    element per conjugacy class suffices, smallest classes first.
     """
     n = G.order
     if n == 1:
@@ -130,7 +130,7 @@ def is_simple(G: GroupTable, L: SubgroupLattice | None = None) -> bool:
     if is_abelian(G):
         return factorize(n) == {n: 1}
     classes = sorted(element_conjugacy_classes(G)[1:], key=len)
-    return all(2 * _closure(G.table, c, stop_above_half=True).sum() > n for c in classes)
+    return all(normal_closure(G, c[:1]).order == n for c in classes)
 
 
 def has_klein_quotient(G: GroupTable, L: SubgroupLattice) -> Subgroup | None:

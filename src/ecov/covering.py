@@ -118,6 +118,10 @@ def qualifying_divisors(n: int, e: int) -> list[int]:
 # Certificates
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in x)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A covering-flavored family of subgroups, listed by member indices."""
@@ -151,10 +155,13 @@ class Certificate:
         mode = doc["mode"]
         if mode not in CERTIFICATE_MODES:
             raise SpecError(f"unknown certificate mode {mode!r}")
-        members = tuple(tuple(int(x) for x in m) for m in doc["members"])
+        members = doc["members"]
+        if not isinstance(members, list) or not all(_is_int_list(m) for m in members):
+            raise SpecError("certificate 'members' must be a list of integer lists")
         s = doc.get("s")
-        s_members = tuple(int(x) for x in s) if s is not None else None
-        return cls(mode, members, s_members)
+        if s is not None and not _is_int_list(s):
+            raise SpecError("certificate 's' must be a list of integers")
+        return cls(mode, tuple(tuple(m) for m in members), tuple(s) if s is not None else None)
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ def verify_certificate(G: GroupTable, cert: Certificate) -> CertificateReport:
                     return CertificateReport(False, "BadPairwiseIntersection", (i, j))
     if cert.mode == "StrictSPartition":
         s = cert.s_members if cert.s_members is not None else (0,)
-        if not _is_subgroup(G, tuple(sorted(set(s)))):
+        if any(not 0 <= x < n for x in s) or not _is_subgroup(G, tuple(sorted(set(s)))):
             return CertificateReport(False, "NotASubgroup", (-1,))
         smask = _mask(s)
         for i in range(len(masks)):

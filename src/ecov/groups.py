@@ -327,31 +327,27 @@ class TableReport:
         return self.ok
 
 
-def _closure(T: np.ndarray, gens, seed=(0,), stop_above_half: bool = False) -> np.ndarray:
-    """Mask of ``seed`` closed under right multiplication by ``gens``, by a
-    breadth-first search over numpy frontiers.
+def _close(maps: list[list[int]], seed, half: int | None = None) -> set[int] | None:
+    """The seed closed under a list of index maps, by a list-based search.
 
-    ``stop_above_half`` stops once more than n/2 elements are seen; when the
-    seed lies in <gens> and the table is a group, Lagrange's theorem makes
-    ``2 * mask.sum() > n`` mean <gens> is everything.  Unverified tables
-    must close fully.
+    Right multiplication by g is the map ``T[:, g].tolist()``; conjugation by
+    g is ``lattice._conjugation_maps``.  With ``half`` given, returns None
+    once the set has more than ``half`` elements: when the closure lies in a
+    subgroup of a group of order n, more than n/2 elements means the whole
+    group (Lagrange).  Unverified tables must close fully.
     """
-    n = int(T.shape[0])
-    cols = np.asarray(gens, dtype=np.intp)
-    frontier = np.asarray(seed, dtype=np.intp)
-    seen = np.zeros(n, dtype=bool)
-    seen[frontier] = True
-    owner = np.empty(n, dtype=np.intp)
-    while frontier.size and cols.size and not (stop_above_half and 2 * seen.sum() > n):
-        step = T[frontier[:, None], cols].ravel()
-        step = step[~seen[step]]
-        seen[step] = True
-        # Keep one copy of each new element: exactly one position wins each
-        # repeated write to owner.
-        pos = np.arange(step.size)
-        owner[step] = pos
-        frontier = step[owner[step] == pos]
-    return seen
+    members = set(seed)
+    queue = list(members)
+    while queue:
+        x = queue.pop()
+        for m in maps:
+            y = m[x]
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+        if half is not None and len(members) > half:
+            return None
+    return members
 
 
 def _generating_set(T: np.ndarray, generators: tuple[int, ...] = ()) -> tuple[int, ...]:
@@ -362,11 +358,15 @@ def _generating_set(T: np.ndarray, generators: tuple[int, ...] = ()) -> tuple[in
     added as a generator, so with no generators given this is the greedy
     generating set of the table.
     """
+    n = int(T.shape[0])
     gens = list(dict.fromkeys(int(g) for g in generators if g))
-    seen = _closure(T, gens)
-    while not seen.all():
-        gens.append(int(seen.argmin()))
-        seen = _closure(T, gens, np.flatnonzero(seen))
+    maps = [T[:, g].tolist() for g in gens]
+    seen = _close(maps, (0,))
+    while len(seen) < n:
+        g = next(x for x in range(n) if x not in seen)
+        gens.append(g)
+        maps.append(T[:, g].tolist())
+        seen = _close(maps, seen)
     return tuple(gens)
 
 

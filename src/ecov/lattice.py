@@ -7,12 +7,13 @@ extended, by the least element of each right coset it does not cover, and
 each new subgroup's class is filled in from the conjugation maps.  The
 classes come out of the enumeration, and a subgroup is normal exactly when
 its class has one member.
-The lattice, the normal-subgroup scan and the conjugacy classes share one
-list kernel, ``_close``: a seed closed under index maps, which are the
-columns of the table (right multiplications) or the conjugation maps.  Its
-many short closures run faster on Python lists than on numpy; the lists are
-built once per call and dropped with it.  Wide closures from a few
-generators use the numpy ``groups._closure``.
+Every closure goes through one list kernel, ``groups._close``: a seed
+closed under index maps, which are columns of the table (right
+multiplications) or the conjugation maps.  A generated subgroup closes the
+identity under its generators' columns; a normal closure adds the
+conjugation maps, so it needs one map per seed element and per group
+generator.  Only the lattice, whose extensions range over every element,
+takes all columns at once.
 Normal-subgroup and conjugacy machinery that does not need the full
 lattice (normal closures, class-closure enumeration) lives here too, so
 decision rules can run on groups too large to enumerate fully.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import LatticeLimitExceeded
-from .groups import GroupTable, _closure
+from .groups import GroupTable, _close
 
 __all__ = [
     "FULL_LATTICE_LIMIT",
@@ -77,42 +78,19 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={self.members[:6]}{'...' if self.order > 6 else ''})"
 
 
-def _close(maps: list[list[int]], seed, half: int | None = None) -> set[int] | None:
-    """The seed closed under a list of index maps, by a list-based search.
-
-    Right multiplication by g is the map ``cols[g]`` with
-    ``cols = G.table.T.tolist()``.  With ``half`` given, returns None once the
-    set has more than ``half`` elements: for a seed holding the identity
-    closed under right multiplications, more than n/2 elements means the
-    whole group (Lagrange).
-    """
-    members = set(seed)
-    queue = list(members)
-    while queue:
-        x = queue.pop()
-        for m in maps:
-            y = m[x]
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-        if half is not None and len(members) > half:
-            return None
-    return members
-
-
-def _generated(G: GroupTable, gens, recorded: tuple[int, ...]) -> Subgroup:
-    """<gens>, recording ``recorded`` as its generators unless it is all of G."""
-    n = G.order
-    mask = _closure(G.table, gens, stop_above_half=True)
-    if 2 * mask.sum() > n:
+def _subgroup(G: GroupTable, members: set[int] | None, generators: tuple[int, ...]) -> Subgroup:
+    """A ``_close`` result as a Subgroup; None (closed past half) means all of G."""
+    if members is None:
+        n = G.order
         return Subgroup((1 << n) - 1, tuple(range(n)), G.generators)
-    return Subgroup.from_members(mask.nonzero()[0].tolist(), recorded)
+    return Subgroup.from_members(members, generators)
 
 
 def generated_subgroup(G: GroupTable, generators) -> Subgroup:
     """The subgroup generated by the given element indices."""
     gens = tuple(sorted({int(g) for g in generators} - {0}))
-    return _generated(G, gens, gens)
+    T = G.table
+    return _subgroup(G, _close([T[:, g].tolist() for g in gens], (0,), G.order // 2), gens)
 
 
 def _conjugation_maps(G: GroupTable) -> list[list[int]]:
@@ -234,7 +212,6 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     trivial = Subgroup.from_members((0,), ())
     add_class(trivial)
     worklist: list[Subgroup] = [trivial]
-    full_mask = (1 << n) - 1
     while worklist:
         H = worklist.pop()
         covered = H.mask
@@ -247,17 +224,14 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
                 covered |= 1 << cols[g][h]
         for g in minima:
             gens = H.generators + (g,)
-            members = _close([cols[x] for x in gens], H.members + (g,), n // 2)
-            if members is None:
-                K = Subgroup(full_mask, tuple(range(n)), G.generators or gens)
-            else:
-                K = Subgroup.from_members(members, gens)
+            K = _subgroup(G, _close([cols[x] for x in gens], H.members + (g,), n // 2), gens)
             if K.mask not in seen:
                 add_class(K)
                 if K.order < n:
                     worklist.append(K)
-    if full_mask not in seen:
-        add_class(Subgroup(full_mask, tuple(range(n)), G.generators))
+    full = _subgroup(G, None, ())
+    if full.mask not in seen:
+        add_class(full)
     subs = tuple(sorted(seen.values(), key=lambda s: (s.order, s.members)))
     return SubgroupLattice(n, subs, orbits)
 
@@ -310,27 +284,38 @@ def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
 
 
 def normal_closure(G: GroupTable, elements) -> Subgroup:
-    """Least normal subgroup containing the given elements."""
-    seed = {int(x) for x in elements} | {0}
-    # A conjugation-closed set generates a normal subgroup.
-    stable = _close(_conjugation_maps(G), seed)
-    return _generated(G, sorted(stable - {0}), tuple(sorted(seed - {0})))
+    """Least normal subgroup containing the given elements.
+
+    Let S be the identity closed under right multiplication by each x in
+    X (the given elements) and under conjugation by each group generator.
+    S lies in <X^G>, which is normal and holds X.  S is closed under
+    conjugation by all of G, since the generators' conjugations generate
+    the inner automorphisms.  So for s in S, x in X and g in G,
+    s * g^-1 x g = g^-1 (g s g^-1 * x) g lies in S: S is closed under right
+    multiplication by every conjugate of X, and holds the identity, so it
+    holds <X^G>.  Hence S = <X^G>, from |X| + |gens| maps.
+    """
+    seed = tuple(sorted({int(x) for x in elements} - {0}))
+    T = G.table
+    maps = [T[:, x].tolist() for x in seed] + _conjugation_maps(G)
+    return _subgroup(G, _close(maps, (0,), G.order // 2), seed)
 
 
 def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:
     """All normal subgroups without enumerating the full lattice.
 
-    Works by closing under element conjugacy classes: every normal subgroup
-    is a chain of extensions of smaller normal subgroups by whole classes,
-    and a subgroup generated by a conjugation-stable set is normal.
+    Every normal subgroup is a chain of extensions of smaller normal
+    subgroups by whole element classes.  N extended by the class of x is
+    N<x^G>: N's members closed under right multiplication by x and the
+    conjugation maps, by the argument in ``normal_closure``.
     """
     n = G.order
-    cols = G.table.T.tolist()
+    T = G.table
+    conj = _conjugation_maps(G)
     classes = element_conjugacy_classes(G)
     trivial = Subgroup.from_members((0,), ())
     seen: dict[int, Subgroup] = {trivial.mask: trivial}
     worklist = [trivial]
-    full_mask = (1 << n) - 1
     while worklist:
         N = worklist.pop()
         if N.order == n:
@@ -338,18 +323,13 @@ def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:
         for cls in classes:
             if (N.mask >> cls[0]) & 1:
                 continue
-            seed = set(N.members) | set(cls)
-            gens = tuple(sorted(seed - {0}))
-            members = _close([cols[x] for x in gens], seed, n // 2)
-            if members is None:
-                K = Subgroup(full_mask, tuple(range(n)), G.generators)
-            else:
-                K = Subgroup.from_members(members, gens)
+            members = _close([T[:, cls[0]].tolist()] + conj, N.members, n // 2)
+            K = _subgroup(G, members, tuple(sorted((set(N.members) | set(cls)) - {0})))
             if K.mask not in seen:
                 seen[K.mask] = K
                 worklist.append(K)
-    if full_mask not in seen:
-        seen[full_mask] = Subgroup(full_mask, tuple(range(n)), G.generators)
+    full = _subgroup(G, None, ())
+    seen.setdefault(full.mask, full)
     return sorted(seen.values(), key=lambda s: (s.order, s.members))
 
 

@@ -39,8 +39,6 @@ from ecov.lattice import get_lattice
 
 SHIPPED_HINTS = Path(ecov.__file__).parent / "data" / "hints"
 
-_BASELINES: dict[str, float] = {}
-
 
 @contextmanager
 def criterion(number: int, description: str, budget: float | None):
@@ -107,9 +105,7 @@ def test_criterion_3_order_tables():
             ) == entry.order:
                 d = decide(G)
                 assert d.status == "No" and not d.has_covering_at_all
-        t0 = time.perf_counter()
         result = run_census(entries)
-        _BASELINES["census"] = time.perf_counter() - t0
         assert result.mismatches == [], result.mismatches
         assert result.errors == [], result.errors
 
@@ -240,20 +236,21 @@ def test_criterion_8_oracle_equivalence():
 
 def test_criterion_9_census_determinism():
     entries = catalog(60)
-    if "census" not in _BASELINES:
-        t0 = time.perf_counter()
-        run_census(entries)
-        _BASELINES["census"] = time.perf_counter() - t0
-    budget = 2 * _BASELINES["census"]
     with criterion(9, "census output is byte-identical across worker counts", None):
-        t0 = time.perf_counter()
-        serial = run_census(entries, jobs=1)
-        serial_elapsed = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        parallel = run_census(entries, jobs=8)
-        parallel_elapsed = time.perf_counter() - t0
+        # Best of three for each side, interleaved, so a burst of load on the
+        # machine slows the baseline as much as the runs it bounds.
+        runs = {"baseline": {}, "serial": {"jobs": 1}, "parallel": {"jobs": 8}}
+        best = dict.fromkeys(runs, math.inf)
+        results = {}
+        for _ in range(3):
+            for name, kwargs in runs.items():
+                t0 = time.perf_counter()
+                results[name] = run_census(entries, **kwargs)
+                best[name] = min(best[name], time.perf_counter() - t0)
+        serial, parallel = results["serial"], results["parallel"]
+        budget = 2 * best["baseline"]
         assert serial.ok and parallel.ok
         assert emit(serial.rows) == emit(parallel.rows)
         assert emit(serial.rows, format="json") == emit(parallel.rows, format="json")
-        assert serial_elapsed <= budget, f"serial census {serial_elapsed:.2f}s over {budget:.2f}s"
-        assert parallel_elapsed <= budget, f"parallel census {parallel_elapsed:.2f}s over {budget:.2f}s"
+        assert best["serial"] <= budget, f"serial census {best['serial']:.2f}s over {budget:.2f}s"
+        assert best["parallel"] <= budget, f"parallel census {best['parallel']:.2f}s over {budget:.2f}s"

@@ -8,6 +8,9 @@ import sys
 
 import pytest
 
+from ecov.groups import build_group
+from ecov.lattice import get_lattice
+
 HINTS_DIR = "src/ecov/data/hints"
 
 
@@ -139,6 +142,35 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     proc = run("verify", str(cert))
     assert proc.returncode == 1
     assert proc.stdout.startswith("certificate invalid: UnionIncomplete(")
+
+
+def d8_strict_certificate(tmp_path, **changes):
+    quads = [list(s.members) for s in get_lattice(build_group("D8")).subgroups if s.order == 4]
+    doc = {"mode": "StrictSPartition", "group": "D8", "members": quads, "s": [0, 2]}
+    doc.update(changes)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc), encoding="utf-8")
+    return cert
+
+
+@pytest.mark.parametrize("s", [[0, 8], [0, -6]], ids=["s-8", "s-neg6"])
+def test_verify_reports_out_of_range_s_as_not_a_subgroup(tmp_path, s):
+    assert run("verify", str(d8_strict_certificate(tmp_path))).returncode == 0
+    proc = run("verify", str(d8_strict_certificate(tmp_path, s=s)))
+    assert proc.returncode == 1
+    assert proc.stdout == "certificate invalid: NotASubgroup(-1,)\n"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "changes", [{"members": 5}, {"members": [["a"]]}, {"s": 3}], ids=["members-int", "members-str", "s-int"]
+)
+def test_verify_rejects_malformed_certificate_lists(tmp_path, changes):
+    proc = run("verify", str(d8_strict_certificate(tmp_path, **changes)))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: certificate ")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,26 @@ def test_certificate_json_roundtrip():
         Certificate.from_json({"mode": "EqualCovering"})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("members", 5),
+        ("members", [["a"]]),
+        ("members", [[0, 1.5]]),
+        ("members", [[0, True]]),
+        ("members", [5]),
+        ("s", 3),
+        ("s", ["0"]),
+    ],
+    ids=["members-int", "members-str", "members-float", "members-bool", "members-flat", "s-int", "s-str"],
+)
+def test_certificate_from_json_rejects_non_integer_lists(field, value):
+    doc = {"mode": "StrictSPartition", "members": [[0, 1], [0, 2]], "s": [0]}
+    doc[field] = value
+    with pytest.raises(SpecError):
+        Certificate.from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # Certificate verification, mode by mode
 
@@ -139,6 +159,10 @@ def test_verify_strict_s_partition_d8(grp):
 
     not_sub = Certificate("StrictSPartition", quads, s_members=(0, 1))
     assert verify_certificate(G, not_sub).code == "NotASubgroup"
+
+    for s in ((0, 8), (0, -6), ()):
+        report = verify_certificate(G, Certificate("StrictSPartition", quads, s_members=s))
+        assert (report.code, report.detail) == ("NotASubgroup", (-1,)), s
 
 
 def test_verify_semi_partition(grp):

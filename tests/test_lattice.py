@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from ecov.analysis import is_abelian
 from ecov.census import catalog
 from ecov.errors import LatticeLimitExceeded
 from ecov.groups import build_group
@@ -186,7 +188,16 @@ def test_normal_subgroups_s4_and_a5(grp):
     assert sorted(s.order for s in normal_subgroups(L5)) == [1, 60]
 
 
-@pytest.mark.parametrize("spec", ["S4", "D12", "A4", "Q8", "C6xC2", "W"])
+def nonabelian_specs(max_order: int) -> list[str]:
+    return [e.spec.text() for e in catalog(max_order) if not is_abelian(build_group(e.spec))]
+
+
+SCAN_SPECS = ["S4", "D12", "A4", "Q8", "C6xC2", "W"]
+
+
+@pytest.mark.parametrize(
+    "spec", SCAN_SPECS + [s for s in nonabelian_specs(60) if s not in SCAN_SPECS]
+)
 def test_direct_normal_scan_agrees_with_lattice(grp, spec):
     G = grp(spec)
     L = get_lattice(G)
@@ -212,21 +223,39 @@ def test_element_conjugacy_classes_s3(grp):
 
 
 def test_normal_closure_matches_minimal_normal_over(grp):
-    for spec, seed_order in (("S4", 2), ("A4", 3), ("D12", 2)):
+    """Over the non-abelian catalog(60) groups, the closure of every element
+    and of a spread of pairs is the intersection of the lattice's normal
+    subgroups that contain the seed."""
+    for spec in nonabelian_specs(60):
         G = grp(spec)
-        L = get_lattice(G)
-        from ecov.groups import element_order
+        n = G.order
+        normals = normal_subgroups(get_lattice(G))
+        seeds = [(x,) for x in range(n)]
+        seeds += [(x, y) for x in range(1, n, 5) for y in range(x + 1, n, 7)]
+        for seed in seeds:
+            want = Subgroup.from_members((0, *seed)).mask
+            meet = (1 << n) - 1
+            for s in normals:
+                if s.mask & want == want:
+                    meet &= s.mask
+            closure = normal_closure(G, seed)
+            assert closure.mask == meet, (spec, seed)
+            assert is_normal(G, closure)
+            recorded = G.generators if closure.order == n else tuple(sorted(set(seed) - {0}))
+            assert closure.generators == recorded, (spec, seed)
 
-        seed = next(g for g in range(1, G.order) if element_order(G, g) == seed_order)
-        closure = normal_closure(G, (seed,))
-        assert is_normal(G, closure)
-        assert seed in closure.members
-        candidates = [
-            s
-            for s in normal_subgroups(L)
-            if seed in s.members
-        ]
-        assert closure.order == min(s.order for s in candidates)
+
+def test_normal_scan_builds_no_square_list():
+    """The scan closes under one column per class, never under all n columns."""
+    G = build_group("D600")
+    tracemalloc.start()
+    try:
+        normals = normal_subgroups_direct(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(normals) == 21  # 18 rotation subgroups, two dihedral halves of index 2, G
+    assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_generated_subgroup(grp):
