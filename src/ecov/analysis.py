@@ -114,8 +114,8 @@ def is_nilpotent(G: GroupTable) -> bool:
         current, _ = quotient(current, z)
 
 
-def is_simple(G: GroupTable, L: SubgroupLattice | None = None) -> bool:
-    """Exactly two normal subgroups, read from the lattice or the table.
+def is_simple(G: GroupTable) -> bool:
+    """Exactly two normal subgroups, read from the table.
 
     An abelian group is simple iff its order is prime.  Otherwise every
     nontrivial normal subgroup contains the normal closure of some
@@ -125,8 +125,6 @@ def is_simple(G: GroupTable, L: SubgroupLattice | None = None) -> bool:
     n = G.order
     if n == 1:
         return False
-    if L is not None:
-        return sum(L.normal_flags) == 2
     if is_abelian(G):
         return factorize(n) == {n: 1}
     classes = sorted(element_conjugacy_classes(G)[1:], key=len)
@@ -186,7 +184,7 @@ class StructureReport:
         }
 
 
-def structure_report(G: GroupTable, L: SubgroupLattice | None = None) -> StructureReport:
+def structure_report(G: GroupTable) -> StructureReport:
     cyc = is_cyclic(G)
     ab = cyc or is_abelian(G)
     p = p_group_prime(G)
@@ -201,7 +199,7 @@ def structure_report(G: GroupTable, L: SubgroupLattice | None = None) -> Structu
         is_p_group=p is not None,
         p=p,
         is_nilpotent=nil,
-        is_simple=is_simple(G, L),
+        is_simple=is_simple(G),
         order_is_square_free=is_square_free_distinct_primes(G.order),
         smallest_prime_divisor=None if G.order == 1 else smallest_prime_divisor(G.order),
         center_order=len(center),

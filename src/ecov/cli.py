@@ -72,9 +72,9 @@ def _deliver(text: str, out: str | None) -> None:
 def _cmd_describe(args) -> int:
     G = build_group(args.spec)
     lines = []
+    rep = structure_report(G)
     if G.order <= args.lattice_limit:
         L = get_lattice(G, args.lattice_limit)
-        rep = structure_report(G, L)
         lattice_line = (
             f"subgroups: {len(L.subgroups)} in {len(L.classes)} conjugacy classes; "
             f"{len(maximal_subgroups(L))} maximal; {len(normal_subgroups(L))} normal"
@@ -83,7 +83,6 @@ def _cmd_describe(args) -> int:
             _write_json(args.emit_lattice, lattice_to_json(L))
             lattice_line += f"\nlattice written to {args.emit_lattice}"
     else:
-        rep = structure_report(G)
         lattice_line = f"subgroups: not enumerated (order above lattice limit {args.lattice_limit})"
         if args.emit_lattice:
             raise ResourceLimitExceeded(

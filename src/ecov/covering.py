@@ -3,9 +3,12 @@
 A covering is a family of proper subgroups whose union is the whole group;
 an equal covering additionally has all members of one order.  decide()
 answers "does an equal covering exist" by a ladder of structural rules
-(cheapest first) with an exhaustive divisor-by-divisor union test as the
-fallback; every Yes is returned with a certificate that is re-verified
-before leaving the engine.  sigma/epsilon/rho compute the minimum sizes of
+with an exhaustive divisor-by-divisor union test as the fallback.  The
+ladder is the table _LADDER: its order is the order the rules are tried
+(cheapest first), and a rule is one entry.  T18, C3 and T21 share one
+pull-back step that decides a smaller image group and takes preimages.
+Every Yes is returned with a certificate that is re-verified before
+leaving the engine.  sigma/epsilon/rho compute the minimum sizes of
 coverings, equal coverings, and partitions by branch-and-bound searches
 whose witnesses are verified the same way.
 """
@@ -14,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -302,26 +306,13 @@ def equal_covering_exhaustive(
     return _decision("No", "Exhaustive", None, t0)
 
 
-def _dihedral_certificate(G: GroupTable) -> Certificate:
-    """{rotations, even half + even reflections, even half + odd reflections}."""
-    half = G.order // 2
-    rot = tuple(range(half))
-    evens = tuple(range(0, half, 2))
-    m2 = tuple(sorted(evens + tuple(half + i for i in range(0, half, 2))))
-    m3 = tuple(sorted(evens + tuple(half + i for i in range(1, half, 2))))
-    return Certificate("EqualCovering", (rot, m2, m3))
-
-
-def _preimage_certificate(cert: Certificate, proj, n: int) -> Certificate:
-    members = []
-    for mem in cert.members:
-        target = set(mem)
-        members.append(tuple(x for x in range(n) if proj[x] in target))
-    return Certificate("EqualCovering", tuple(members))
-
-
-def _table_key(G: GroupTable) -> tuple:
-    return (G.order, G.table.tobytes())
+def _preimage(cert: Certificate, proj) -> Certificate:
+    """The preimages of cert's members, where proj[x] is the image of x."""
+    proj = np.asarray(proj)
+    return Certificate(
+        "EqualCovering",
+        tuple(tuple(np.flatnonzero(np.isin(proj, mem)).tolist()) for mem in cert.members),
+    )
 
 
 def _verify_yes(G: GroupTable, cert: Certificate, method: str) -> None:
@@ -330,6 +321,115 @@ def _verify_yes(G: GroupTable, cert: Certificate, method: str) -> None:
         raise AssertionError(
             f"internal soundness failure: {method} produced an invalid certificate: {report.describe()}"
         )
+
+
+_NO = ("No", None)
+_STOP = object()  # a rule's answer that no later rule can apply
+
+
+def _pull_back(lattice_limit: int, depth: int, memo: dict, images) -> tuple[str, Certificate] | None:
+    """Yes from the first image group that has an equal covering.
+
+    images yields (Q, proj) pairs, proj[x] being the image in Q of x; the
+    preimages of an equal covering of Q are an equal covering of G.  Image
+    groups are decided at most three levels down, and memo keeps one
+    decision per table for the whole tree.
+    """
+    if depth >= 3:
+        return None
+    for Q, proj in images:
+        key = (Q.order, Q.table.tobytes())
+        sub = memo.get(key)
+        if sub is None:
+            sub = memo[key] = decide(Q, "auto", lattice_limit, depth + 1, memo)
+        if sub.status == "Yes":
+            return "Yes", _preimage(sub.certificate, proj)
+    return None
+
+
+def _dihedral(G: GroupTable, pull_back):
+    """The rotations and the two index-2 subgroups holding half of them.
+
+    Element r^i s^e of the dihedral group of order 2n has index i + n * e.
+    For even n the three members are the preimages of the Klein
+    four-group's order-2 subgroups under x -> 2 * e + i mod 2.
+    """
+    if G.meta.kind != "dihedral":
+        return None
+    n = G.meta.params[0]
+    if n % 2:
+        return _NO
+    x = np.arange(G.order)
+    klein = Certificate("EqualCovering", ((0, 1), (0, 2), (0, 3)))
+    return "Yes", _preimage(klein, 2 * (x // n) + x % 2)
+
+
+def _p_group(G: GroupTable, pull_back):
+    p = p_group_prime(G)
+    if p is None:
+        return None
+    return "Yes", Certificate("EqualCovering", tuple(index_p_subgroups(G, p)))
+
+
+def _nilpotent(G: GroupTable, pull_back):
+    if not is_nilpotent(G):
+        return None
+    for q in sorted(factorize(G.order)):
+        rank, _ = elementary_abelian_quotient(G, q)
+        if rank >= 2:
+            return "Yes", Certificate("EqualCovering", tuple(index_p_subgroups(G, q)))
+    return None
+
+
+def _direct_factor(G: GroupTable, pull_back):
+    """Element (a, b) of A x B has index a * |B| + b; a factor's covering crosses with the other."""
+    if G.meta.kind != "product" or len(G.meta.children) != 2:
+        return None
+    A, B = G.meta.children
+    x = np.arange(G.order)
+    return pull_back(((A, x // B.order), (B, x % B.order)))
+
+
+def _semidirect(G: GroupTable, pull_back):
+    """Element (h, k) of H : K has index h * |K| + k, and x -> k projects onto K."""
+    if G.meta.kind not in ("semidirect", "w") or len(G.meta.children) != 2:
+        return None
+    K = G.meta.children[1]
+    return pull_back(((K, np.arange(G.order) % K.order),))
+
+
+def _simple_half_exponent(G: GroupTable, pull_back):
+    """A simple group has no proper quotient, so the ladder ends here for it."""
+    if not is_simple(G):
+        return None
+    return _NO if 2 * exponent(G) == G.order else _STOP
+
+
+def _noncyclic_quotients(G: GroupTable):
+    """(G/N, projection) for each proper nontrivial normal N, largest N first."""
+    for N in sorted(normal_subgroups_direct(G), key=lambda s: (-s.order, s.members)):
+        if N.order in (1, G.order):
+            continue
+        Q, proj = quotient(G, N.members)
+        if not is_cyclic(Q):
+            yield Q, proj
+
+
+# The rule ladder: one entry per rule, in the order the rules are tried.
+# rule(G, pull_back) returns (status, certificate) to decide G, None to
+# pass, or _STOP; pull_back is _pull_back bound to this decision's tree.
+_LADDER = (
+    ("RuleT1_Cyclic", lambda G, pull_back: _NO if is_cyclic(G) else None),
+    ("RuleT20_SquareFree", lambda G, pull_back: _NO if is_square_free_distinct_primes(G.order) else None),
+    ("RuleC1_Exponent", lambda G, pull_back: None if qualifying_divisors(G.order, exponent(G)) else _NO),
+    ("RuleT16_Dihedral", _dihedral),
+    ("RuleT17_PGroup", _p_group),
+    ("RuleT19_Nilpotent", _nilpotent),
+    ("RuleT18_DirectFactor", _direct_factor),
+    ("RuleC3_Semidirect", _semidirect),
+    ("RuleP2_SimpleHalfExp", _simple_half_exponent),
+    ("RuleT21_Quotient", lambda G, pull_back: pull_back(_noncyclic_quotients(G))),
+)
 
 
 def decide(
@@ -348,125 +448,24 @@ def decide(
     """
     if mode not in ("auto", "rules", "exhaustive"):
         raise SpecError(f"unknown decide mode {mode!r}")
-    t0 = time.perf_counter()
-    memo = _memo if _memo is not None else {}
-
     if mode == "exhaustive":
         return equal_covering_exhaustive(G, lattice_limit=lattice_limit)
-
-    result = _rules_ladder(G, lattice_limit, _depth, memo, t0)
-    if result is not None:
-        return result
+    t0 = time.perf_counter()
+    pull_back = partial(_pull_back, lattice_limit, _depth, {} if _memo is None else _memo)
+    for tag, rule in _LADDER:
+        found = rule(G, pull_back)
+        if found is _STOP:
+            break
+        if found is not None:
+            status, cert = found
+            if status == "Yes":
+                _verify_yes(G, cert, tag)
+            return _decision(status, tag, cert, t0)
     if mode == "rules":
         raise RulesInconclusive(
             f"no structural rule settles {G.meta.name}; exhaustive search disabled"
         )
     return equal_covering_exhaustive(G, lattice_limit=lattice_limit)
-
-
-def _decide_memo(G: GroupTable, lattice_limit: int, depth: int, memo: dict) -> Decision:
-    key = _table_key(G)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    result = decide(G, "auto", lattice_limit, depth, memo)
-    memo[key] = result
-    return result
-
-
-def _rules_ladder(
-    G: GroupTable, lattice_limit: int, depth: int, memo: dict, t0: float
-) -> Decision | None:
-    n = G.order
-
-    # (1) cyclic groups have no covering at all
-    if is_cyclic(G):
-        return _decision("No", "RuleT1_Cyclic", None, t0)
-
-    # (2) square-free order
-    if is_square_free_distinct_primes(n):
-        return _decision("No", "RuleT20_SquareFree", None, t0)
-
-    # (3) exponent rule at divisor level
-    e = exponent(G)
-    if not qualifying_divisors(n, e):
-        return _decision("No", "RuleC1_Exponent", None, t0)
-
-    # (4) dihedral metadata
-    if G.meta.kind == "dihedral":
-        half = G.meta.params[0]
-        if half % 2 == 0:
-            cert = _dihedral_certificate(G)
-            _verify_yes(G, cert, "RuleT16_Dihedral")
-            return _decision("Yes", "RuleT16_Dihedral", cert, t0)
-        return _decision("No", "RuleT16_Dihedral", None, t0)
-
-    # (5) non-cyclic p-group: all maximal subgroups
-    p = p_group_prime(G)
-    if p is not None:
-        members = index_p_subgroups(G, p)
-        cert = Certificate("EqualCovering", tuple(members))
-        _verify_yes(G, cert, "RuleT17_PGroup")
-        return _decision("Yes", "RuleT17_PGroup", cert, t0)
-
-    # (6) non-cyclic nilpotent: index-p family at a rank >= 2 prime
-    if is_nilpotent(G):
-        for q in sorted(factorize(n)):
-            rank, _ = elementary_abelian_quotient(G, q)
-            if rank >= 2:
-                members = index_p_subgroups(G, q)
-                cert = Certificate("EqualCovering", tuple(members))
-                _verify_yes(G, cert, "RuleT19_Nilpotent")
-                return _decision("Yes", "RuleT19_Nilpotent", cert, t0)
-
-    # (7) construction metadata: direct factors and semidirect complements
-    if depth < 3 and G.meta.kind == "product" and len(G.meta.children) == 2:
-        A, B = G.meta.children
-        for first, other, flip in ((A, B, False), (B, A, True)):
-            sub = _decide_memo(first, lattice_limit, depth + 1, memo)
-            if sub.status == "Yes" and sub.certificate is not None:
-                nB = B.order
-                members = []
-                for mem in sub.certificate.members:
-                    if not flip:
-                        lifted = tuple(sorted(a * nB + b for a in mem for b in range(nB)))
-                    else:
-                        lifted = tuple(sorted(a * nB + b for a in range(A.order) for b in mem))
-                    members.append(lifted)
-                cert = Certificate("EqualCovering", tuple(members))
-                _verify_yes(G, cert, "RuleT18_DirectFactor")
-                return _decision("Yes", "RuleT18_DirectFactor", cert, t0)
-    if depth < 3 and G.meta.kind in ("semidirect", "w") and len(G.meta.children) == 2:
-        H, K = G.meta.children
-        sub = _decide_memo(K, lattice_limit, depth + 1, memo)
-        if sub.status == "Yes" and sub.certificate is not None:
-            nK = K.order
-            proj = [idx % nK for idx in range(n)]
-            cert = _preimage_certificate(sub.certificate, proj, n)
-            _verify_yes(G, cert, "RuleC3_Semidirect")
-            return _decision("Yes", "RuleC3_Semidirect", cert, t0)
-
-    # (8) simple with exponent |G|/2; a simple group has no proper quotient
-    if is_simple(G):
-        if 2 * e == n:
-            return _decision("No", "RuleP2_SimpleHalfExp", None, t0)
-        return None
-
-    # (9) pull back along a quotient with an equal covering
-    if depth < 3:
-        for N in sorted(normal_subgroups_direct(G), key=lambda s: (-s.order, s.members)):
-            if N.order in (1, n):
-                continue
-            Q, proj = quotient(G, N.members)
-            if is_cyclic(Q):
-                continue
-            sub = _decide_memo(Q, lattice_limit, depth + 1, memo)
-            if sub.status == "Yes" and sub.certificate is not None:
-                cert = _preimage_certificate(sub.certificate, proj, n)
-                _verify_yes(G, cert, "RuleT21_Quotient")
-                return _decision("Yes", "RuleT21_Quotient", cert, t0)
-
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +482,13 @@ def load_hints(path: str) -> dict:
     if not isinstance(doc, dict):
         raise HintFileError(f"{path}: hint file must be a JSON object")
     for key, typ in (("name", str), ("order", int), ("exponent", int), ("maximal_orders", list)):
-        if key not in doc or not isinstance(doc[key], typ):
+        if key not in doc or not isinstance(doc[key], typ) or isinstance(doc[key], bool):
             raise HintFileError(f"{path}: missing or mistyped field {key!r}")
     order, expo = doc["order"], doc["exponent"]
     if order < 2 or expo < 1 or order % expo:
         raise HintFileError(f"{path}: exponent {expo} must divide the order {order}")
     for m in doc["maximal_orders"]:
-        if not isinstance(m, int) or m < 1 or m >= order or order % m:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1 or m >= order or order % m:
             raise HintFileError(f"{path}: maximal order {m!r} is not a proper divisor of {order}")
     if not doc["maximal_orders"]:
         raise HintFileError(f"{path}: maximal_orders must be non-empty")

@@ -122,21 +122,16 @@ class SubgroupLattice:
     orbits: InitVar[list[list[Subgroup]]]
     classes: tuple[tuple[int, ...], ...] = field(init=False)
     class_of: tuple[int, ...] = field(init=False, repr=False)
-    _by_mask: dict = field(init=False, repr=False)
     _maximal: tuple[bool, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self, orbits):
-        self._by_mask = {s.mask: i for i, s in enumerate(self.subgroups)}
-        index = self._by_mask
+        index = {s.mask: i for i, s in enumerate(self.subgroups)}
         self.classes = tuple(sorted(tuple(sorted(index[S.mask] for S in orbit)) for orbit in orbits))
         class_of = [0] * len(self.subgroups)
         for cid, cls in enumerate(self.classes):
             for i in cls:
                 class_of[i] = cid
         self.class_of = tuple(class_of)
-
-    def index_of(self, mask: int) -> int:
-        return self._by_mask[mask]
 
     def of_order(self, d: int) -> list[Subgroup]:
         return [s for s in self.subgroups if s.order == d]

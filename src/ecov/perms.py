@@ -45,15 +45,6 @@ class Permutation:
         s = self.images
         return Permutation(s[o[x]] for x in range(len(s)))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(inv)
-
     def is_identity(self) -> bool:
         return all(i == img for i, img in enumerate(self.images))
 

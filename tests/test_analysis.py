@@ -151,6 +151,8 @@ def test_nilpotence_matches_sylow_normality_up_to_60(grp):
                 expected = False
                 break
         assert is_nilpotent(G) is expected, entry.display
+        # The lattice is the reference for the table-only simplicity test.
+        assert (sum(L.normal_flags) == 2) is is_simple(G), entry.display
 
 
 def test_klein_quotient_detection(grp):

@@ -264,6 +264,26 @@ def test_census_timing_fills_elapsed():
     assert all(float(c) >= 0.0 for c in cells)
 
 
+def test_census_and_hints_check_refuse_boolean_hint_fields(tmp_path):
+    # bool subclasses int: read as 1, "exponent": true would pass the
+    # divisibility checks and put a True exponent cell in the census row.
+    doc = {
+        "name": "X",
+        "order": 7920,
+        "exponent": True,
+        "maximal_orders": [720, True],
+        "exponent_multiple_union_covers": False,
+    }
+    (tmp_path / "x.json").write_text(json.dumps(doc), encoding="utf-8")
+    proc = run("hints-check", str(tmp_path / "x.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    proc = run("census", "--max-order", "1", "--hints", str(tmp_path))
+    assert proc.returncode == 1
+    assert any(line.startswith("error: x.json: ") for line in proc.stderr.splitlines())
+    assert not any("True" in line.split(",") for line in proc.stdout.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # hints-check
 

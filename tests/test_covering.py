@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from ecov.covering import (
+    _LADDER,
+    CITATIONS,
     INFINITY,
     Certificate,
     _Budget,
@@ -238,6 +242,7 @@ def test_no_decisions_by_rule(grp, spec, method):
         ("C6xC2", "RuleT19_Nilpotent", 6),
         ("C6xC10", "RuleT19_Nilpotent", 30),
         ("D12xC3", "RuleT18_DirectFactor", 18),
+        ("C3xD12", "RuleT18_DirectFactor", 18),
         ("C2xD10", "RuleT21_Quotient", 10),
         ("S3xC2", "RuleT21_Quotient", 6),
     ],
@@ -251,6 +256,34 @@ def test_yes_decisions_by_rule(grp, spec, method, order):
     assert cert is not None and cert.mode == "EqualCovering"
     assert cert.common_order() == order
     assert verify_certificate(G, cert).ok
+
+
+@pytest.mark.parametrize("spec,factor", [("D12xC3", "A"), ("C3xD12", "B"), ("D8xD12", "A")])
+def test_direct_factor_certificate_is_the_crossed_lift(grp, spec, factor):
+    # (a, b) in A x B has index a * |B| + b.  The first factor with an equal
+    # covering lends it; its members are crossed with all of the other.
+    G = grp(spec)
+    A, B = G.meta.children
+    nA, nB = A.order, B.order
+    d = decide(G)
+    assert d.method == "RuleT18_DirectFactor"
+    if factor == "A":
+        members = decide(A).certificate.members
+        lift = [sorted(a * nB + b for a in mem for b in range(nB)) for mem in members]
+    else:
+        members = decide(B).certificate.members
+        lift = [sorted(a * nB + b for a in range(nA) for b in mem) for mem in members]
+    assert [list(m) for m in d.certificate.members] == lift
+
+
+def test_ladder_order_matches_the_readme_and_every_tag_has_a_citation():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Decision methods", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `(\w+)`", section, flags=re.M)
+    tags = [tag for tag, _ in _LADDER]
+    assert tags == [t for t in table if t not in ("HintC1", "Exhaustive")]
+    assert len(set(tags)) == len(tags)
+    assert set(table) == set(CITATIONS)
 
 
 def test_semidirect_rule_fires_for_built_semidirect(grp):
@@ -410,6 +443,10 @@ def test_hint_path_rejects_inconsistent_data():
             "exponent_multiple_union_covers": 0,
         },
         [1, 2, 3],
+        # JSON booleans are not integers, although bool subclasses int.
+        {"name": "X", "order": True, "exponent": 1, "maximal_orders": [1]},
+        {"name": "X", "order": 7920, "exponent": True, "maximal_orders": [720]},
+        {"name": "X", "order": 7920, "exponent": 1320, "maximal_orders": [720, True]},
     ],
 )
 def test_load_hints_validation(tmp_path, doc):
