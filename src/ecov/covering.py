@@ -675,7 +675,13 @@ def sigma(
 def epsilon(
     G: GroupTable, L: SubgroupLattice | None = None, lattice_limit: int = FULL_LATTICE_LIMIT
 ) -> tuple[int | float, Certificate | None]:
-    """Minimum size of an equal covering; Infinity when none exists."""
+    """Minimum size of an equal covering; Infinity when none exists.
+
+    Orders d are scanned from the largest down.  An order-d subgroup covers
+    d - 1 non-identity elements, so order d needs ceil((|G|-1)/(d-1)) members
+    or more, and the scan stops once that reaches the best size found.  Among
+    orders that reach the minimum, the witness comes from the largest.
+    """
     if is_cyclic(G):
         return INFINITY, None
     if L is None:
@@ -687,7 +693,9 @@ def epsilon(
     budget = _Budget(_SEARCH_NODE_BUDGET)
     best: int | float = INFINITY
     best_members: tuple | None = None
-    for d in qualifying_divisors(n, exponent(G)):
+    for d in reversed(qualifying_divisors(n, exponent(G))):
+        if -(-(n - 1) // (d - 1)) >= best:
+            break  # the bound only grows as d falls
         fams = subgroups_of_order(L, d)
         union = 0
         for s in fams:
@@ -712,41 +720,54 @@ def epsilon(
 
 
 def _min_exact_cover(
-    masks: list[int], target: int, budget: _Budget
+    masks: list[int], target: int, budget: _Budget, stop_at: int = 0
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Minimum number of pairwise-disjoint masks exactly covering target."""
-    best: int | None = None
+    """Minimum number of pairwise-disjoint masks exactly covering target.
+
+    Branches on the uncovered element with the fewest live blocks (those
+    disjoint from what is covered), larger blocks first, and prunes by the
+    widest live block.  A solution of size stop_at, a proven lower bound,
+    ends the search.
+    """
+    best: int | float = INFINITY
     best_sets: tuple[int, ...] = ()
     sizes = [m.bit_count() for m in masks]
-    max_size = max(sizes, default=0)
+    by_size = sorted(range(len(masks)), key=lambda i: -sizes[i])
     element_sets: dict[int, list[int]] = {}
     for x in range(target.bit_length()):
         if (target >> x) & 1:
-            element_sets[x] = [i for i, m in enumerate(masks) if (m >> x) & 1]
+            element_sets[x] = [i for i in by_size if (masks[i] >> x) & 1]
 
     def dfs(covered: int, chosen: list[int]):
         nonlocal best, best_sets
         budget.tick()
         remaining = target & ~covered
         if remaining == 0:
-            if best is None or len(chosen) < best:
+            if len(chosen) < best:
                 best = len(chosen)
                 best_sets = tuple(chosen)
             return
-        if best is not None and len(chosen) + (remaining.bit_count() + max_size - 1) // max_size >= best:
-            return
-        x = (remaining & -remaining).bit_length() - 1  # least uncovered element
-        for i in element_sets[x]:
-            if masks[i] & covered:
+        pick, widest = None, 0
+        for x, cands in element_sets.items():
+            if not (remaining >> x) & 1:
                 continue
+            live = [i for i in cands if not masks[i] & covered]
+            if not live:
+                return
+            widest = max(widest, sizes[live[0]])
+            if pick is None or len(live) < len(pick):
+                pick = live
+        if len(chosen) + -(-remaining.bit_count() // widest) >= best:
+            return
+        for i in pick:
             chosen.append(i)
             dfs(covered | masks[i], chosen)
             chosen.pop()
+            if best <= stop_at:
+                return
 
     dfs(0, [])
-    if best is None:
-        return None
-    return best, best_sets
+    return None if best == INFINITY else (best, best_sets)
 
 
 def rho(
@@ -755,7 +776,11 @@ def rho(
     """Minimum partition size (pairwise-trivial intersections); Infinity if none.
 
     A partition tiles the non-identity elements exactly, so this is an
-    exact-cover search over all proper nontrivial subgroups.
+    exact-cover search over all proper nontrivial subgroups, stopped at a
+    proven lower bound.  Two blocks H, K meet trivially, so |H||K| <= |G|.
+    With m the order of a largest block, each other block covers at most
+    min(m, |G|/m) - 1 of the |G| - m elements outside it, so
+    rho(G) >= min over block orders m of 1 + ceil((|G| - m) / (min(m, |G|/m) - 1)).
     """
     if is_cyclic(G):
         return INFINITY, None
@@ -769,7 +794,8 @@ def rho(
     blocks = [s for s in L.subgroups if 1 < s.order < n]
     masks = [s.mask & ~1 for s in blocks]
     target = ((1 << n) - 1) & ~1
-    found = _min_exact_cover(masks, target, _Budget(_SEARCH_NODE_BUDGET))
+    lower = min((1 + -(-(n - m) // (min(m, n // m) - 1)) for m in {s.order for s in blocks}), default=0)
+    found = _min_exact_cover(masks, target, _Budget(_SEARCH_NODE_BUDGET), lower)
     if found is None:
         return INFINITY, None
     value, chosen = found
@@ -814,7 +840,8 @@ def equal_partition_exists(
             _verify_yes(G, cert, "equal_partition_exists")
             return True, cert
         masks = [s.mask & ~1 for s in fams]
-        found = _min_exact_cover(masks, full & ~1, _Budget(_SEARCH_NODE_BUDGET))
+        # every exact cover by order-d blocks has (n-1)/(d-1) members
+        found = _min_exact_cover(masks, full & ~1, _Budget(_SEARCH_NODE_BUDGET), (n - 1) // (d - 1))
         if found is not None:
             _, chosen = found
             cert = Certificate("EqualPartition", tuple(sorted(fams[i].members for i in chosen)))

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 
+import numpy as np
+
 from .errors import LatticeLimitExceeded
 from .groups import GroupTable, _close
 
@@ -182,7 +184,8 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
         raise LatticeLimitExceeded(
             f"group order {n} exceeds the lattice limit {limit}; raise --lattice-limit to force"
         )
-    cols = G.table.T.tolist()
+    ints = np.arange(n).astype(object)
+    cols = [ints[c].tolist() for c in G.table.T]  # n shared ints, not n^2 fresh ones
     identity = list(range(n))
     maps = [cmap for cmap in _conjugation_maps(G) if cmap != identity]
     seen: dict[int, Subgroup] = {}

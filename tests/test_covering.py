@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import tracemalloc
 from itertools import combinations
@@ -10,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from ecov import covering
+from ecov.analysis import is_cyclic
+from ecov.census import catalog
 from ecov.covering import (
     _LADDER,
     CITATIONS,
@@ -659,6 +663,103 @@ def test_rho_agrees_with_equal_partition_on_elementary_abelian(grp):
     assert rho(grp("E(2,3)"))[0] == 1 + 4
     assert rho(grp("E(3,2)"))[0] == 1 + 3
     assert rho(grp("E(5,2)"))[0] == 1 + 5
+
+
+# ---------------------------------------------------------------------------
+# Theory oracles for the searches
+
+
+def least_prime(n):
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
+@pytest.mark.parametrize("spec,p", [("E(2,4)", 2), ("E(2,5)", 2), ("E(3,3)", 3), ("E(3,4)", 3), ("E(5,3)", 5)])
+def test_sigma_and_epsilon_of_elementary_abelian_are_p_plus_one(grp, spec, p):
+    G = grp(spec)
+    result = sigma(G)
+    value, witness = epsilon(G)
+    assert result.value == value == p + 1
+    assert verify_certificate(G, result.witness).ok
+    assert verify_certificate(G, witness).ok and len(witness.members) == p + 1
+
+
+@pytest.mark.parametrize(
+    "q,k", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3), (7, 2)]
+)
+def test_rho_of_elementary_abelian_is_beutelspacher(grp, q, k):
+    """rho(E(q,k)) = q^ceil(k/2) + 1 (Beutelspacher 1979)."""
+    G = grp(f"E({q},{k})")
+    value, witness = rho(G)
+    assert value == q ** -(-k // 2) + 1
+    assert witness.mode == "Partition" and len(witness.members) == value
+    assert verify_certificate(G, witness).ok
+
+
+def test_searches_finish_within_a_small_node_budget(grp, monkeypatch):
+    monkeypatch.setattr(covering, "_SEARCH_NODE_BUDGET", 5_000)
+    assert rho(grp("E(2,6)"))[0] == 9
+    assert epsilon(grp("E(2,5)"))[0] == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"D{2 * n}" for n in range(3, 17)]
+    + [f"C{a}xC{b}" for a in range(2, 11) for b in range(a, 31) if a * b <= 60],
+)
+def test_epsilon_closed_forms(grp, spec):
+    """epsilon(D(2n)) is 3 iff n is even; epsilon(Ca x Cb) is p+1 for p the least prime of gcd(a, b)."""
+    if spec.startswith("D"):
+        n = int(spec[1:]) // 2
+        expect = 3 if n % 2 == 0 else INFINITY
+    else:
+        a, b = map(int, spec[1:].split("xC"))
+        g = math.gcd(a, b)
+        expect = INFINITY if g == 1 else least_prime(g) + 1
+    G = grp(spec)
+    value, witness = epsilon(G)
+    assert value == expect
+    if witness is not None:
+        assert len(witness.members) == value and verify_certificate(G, witness).ok
+
+
+def brute_subgroup_orders(G):
+    """Orders of all subgroups, by closing every found subgroup with one more element."""
+    rows = G.table.tolist()
+
+    def close(seed):
+        members = set(seed)
+        while True:
+            new = {rows[a][b] for a in members for b in members} - members
+            if not new:
+                return frozenset(members)
+            members |= new
+
+    found = {frozenset((0,))}
+    frontier = list(found)
+    while frontier:
+        H = frontier.pop()
+        for g in range(G.order):
+            if g not in H:
+                K = close(H | {g})
+                if K not in found:
+                    found.add(K)
+                    frontier.append(K)
+    return {len(H) for H in found}
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in catalog(48)])
+def test_rho_meets_the_trivial_intersection_bound(grp, spec):
+    """Two blocks H, K of a partition have |H||K| <= |G|, which bounds rho from below."""
+    G = grp(spec)
+    if is_cyclic(G):
+        return
+    value, _ = rho(G)
+    if value == INFINITY:
+        return
+    n = G.order
+    orders = [m for m in brute_subgroup_orders(G) if 1 < m < n]
+    bound = min(1 + math.ceil((n - m) / (min(m, n // m) - 1)) for m in orders)
+    assert value >= bound
 
 
 def test_exhaustive_decide_matches_module_level_helper(grp):
