@@ -30,7 +30,7 @@ from .errors import (
     SpecError,
     UnknownFamily,
 )
-from .perms import Permutation, parse_cycles
+from .perms import parse_cycles
 
 __all__ = [
     "MAX_ORDER",
@@ -252,8 +252,7 @@ class GroupTable:
         self.order = int(table.shape[0])
         table.setflags(write=False)
         self.table = table
-        inv = np.argmax(table == 0, axis=1)
-        self.inverse = tuple(int(x) for x in inv)
+        self.inverse = tuple(_right_inverses(table).tolist())
         self.meta = meta
         self.generators = tuple(int(g) for g in generators)
         self._orders: list[int] | None = None
@@ -387,18 +386,41 @@ def _light_witness(T: np.ndarray, gens: tuple[int, ...]) -> tuple[int, int, int]
     return None
 
 
+def _right_inverses(T: np.ndarray) -> np.ndarray:
+    """For each row x, the first y with T[x, y] == 0 (0 when the row has none).
+
+    Rows are scanned in blocks of about ``_LIGHT_BLOCK_CELLS`` cells, so no
+    full n-by-n mask is built.
+    """
+    n = int(T.shape[0])
+    block = max(1, _LIGHT_BLOCK_CELLS // n)
+    return np.concatenate(
+        [np.argmax(T[start:start + block] == 0, axis=1) for start in range(0, n, block)]
+    )
+
+
 def verify_table(table, generators: tuple[int, ...] | None = None) -> TableReport:
     """Check that a square index table is a group table with identity 0.
 
-    After the shape, identity, Latin-square and two-sided-inverse checks,
-    associativity is decided exactly, at every order, by Light's test over
-    a generating set: ``generators``, extended greedily with the least
-    element outside their closure when they are missing or do not generate
-    the table.  This is exact because A = {a : (xa)y = x(ay) for all x, y}
-    contains the identity and is closed under products, as
-    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y); so once A holds
-    a set whose closure under right multiplication from the identity is
-    the whole table, A is the whole table.
+    After the shape and identity checks come two-sided inverses and
+    associativity.  Associativity is decided exactly, at every order, by
+    Light's test over a generating set: ``generators``, extended greedily
+    with the least element outside their closure when they are missing or
+    do not generate the table.  This is exact because
+    A = {a : (xa)y = x(ay) for all x, y} contains the identity and is
+    closed under products, as (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
+    x((ab)y); so once A holds a set whose closure under right
+    multiplication from the identity is the whole table, A is the whole
+    table.
+
+    A table that passes these checks is a group, and a group table is a
+    Latin square: ax = b and xa = b have the single solutions x = a^-1 b
+    and x = b a^-1.  So the Latin-square sorts run only after a check has
+    failed, to name the violation in a fixed order: rows, columns,
+    inverses, then associativity with the witness Light's test found.  On
+    a Latin table the first zero of row x is its only zero, so the inverse
+    check fails exactly where that zero is no left inverse; every rejected
+    table thus gets the code and witness the checks give in that order.
     """
     T = np.asarray(table)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -411,23 +433,23 @@ def verify_table(table, generators: tuple[int, ...] | None = None) -> TableRepor
     idx = np.arange(n)
     if not (np.array_equal(T[0], idx) and np.array_equal(T[:, 0], idx)):
         return TableReport(False, "NoIdentity", (0,))
-    sorted_rows = np.sort(T, axis=1)
-    if not np.array_equal(sorted_rows, np.broadcast_to(idx, (n, n))):
-        bad = int(np.argwhere(~(np.sort(T, axis=1) == idx).all(axis=1))[0][0])
-        return TableReport(False, "NotLatinSquare", ("row", bad))
-    sorted_cols = np.sort(T, axis=0)
-    if not np.array_equal(sorted_cols, np.broadcast_to(idx[:, None], (n, n))):
-        bad = int(np.argwhere(~(np.sort(T, axis=0) == idx[:, None]).all(axis=0))[0][0])
-        return TableReport(False, "NotLatinSquare", ("column", bad))
-    right_inv = np.argmax(T == 0, axis=1)
-    two_sided = T[right_inv, idx] == 0
-    if not two_sided.all():
-        return TableReport(False, "NoInverse", (int(np.argwhere(~two_sided)[0][0]),))
+    right_inv = _right_inverses(T)
+    two_sided = (T[idx, right_inv] == 0) & (T[right_inv, idx] == 0)
+    witness = None
+    if two_sided.all():
+        witness = _light_witness(T, _generating_set(T, generators or ()))
+        if witness is None:
+            return TableReport(True, method="light")
 
-    witness = _light_witness(T, _generating_set(T, generators or ()))
-    if witness is not None:
-        return TableReport(False, "NotAssociative", witness)
-    return TableReport(True, method="light")
+    rows_ok = (np.sort(T, axis=1) == idx).all(axis=1)
+    if not rows_ok.all():
+        return TableReport(False, "NotLatinSquare", ("row", int(rows_ok.argmin())))
+    cols_ok = (np.sort(T, axis=0) == idx[:, None]).all(axis=0)
+    if not cols_ok.all():
+        return TableReport(False, "NotLatinSquare", ("column", int(cols_ok.argmin())))
+    if not two_sided.all():
+        return TableReport(False, "NoInverse", (int(two_sided.argmin()),))
+    return TableReport(False, "NotAssociative", witness)
 
 
 def _index_dtype(n: int):
@@ -506,75 +528,75 @@ def _build_elementary(p: int, k: int) -> GroupTable:
 
 
 def _close_and_tabulate(
-    generators: list[Permutation],
+    generators: list[list[int]],
     kind: str,
     name: str,
     params: tuple = (),
     max_order: int | None = MAX_ORDER,
 ) -> GroupTable:
-    degree = max(g.degree for g in generators)
-    gens = sorted({g.extended(degree) for g in generators if not g.extended(degree).is_identity()})
-    identity = Permutation.identity(degree)
-    if not gens:
-        table = _cyclic_table(1)
-        return _make_group(table, ConstructionMeta(kind, name, params), ())
-    elements: list[Permutation] = [identity]
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    index_of: dict[tuple[int, ...], int] = {identity.images: 0}
-    layer = [0]
-    while layer:
-        found: dict[tuple[int, ...], tuple[Permutation, int, int]] = {}
-        for xi in layer:
-            x = elements[xi]
-            for gi, g in enumerate(gens):
-                y = x * g
-                if y.images not in index_of and y.images not in found:
-                    found[y.images] = (y, xi, gi)
-        layer = []
-        for images in sorted(found):
-            perm, xi, gi = found[images]
-            index_of[images] = len(elements)
-            layer.append(len(elements))
-            elements.append(perm)
-            parents.append((xi, gi))
-        if max_order is not None and len(elements) > max_order:
-            raise OrderLimitExceeded(
-                f"{name}: closure exceeded the order limit {max_order}"
-            )
-    n = len(elements)
-    dtype = _index_dtype(n)
-    rmul = []
-    for g in gens:
-        rmul.append(np.fromiter((index_of[(elements[k] * g).images] for k in range(n)), dtype=dtype, count=n))
-    table = np.empty((n, n), dtype=dtype)
-    table[:, 0] = np.arange(n, dtype=dtype)
-    for e in range(1, n):
-        xi, gi = parents[e]
-        table[:, e] = rmul[gi][table[:, xi]]
-    gen_indices = tuple(index_of[g.images] for g in gens)
+    """Close generators given as image sequences, and tabulate the group.
+
+    Generators are padded to one degree, rid of the identity and repeats,
+    and sorted.  Elements are image rows numbered breadth-first from the
+    identity, each layer in lexicographic order; ``x * g`` applies g first,
+    so its images are ``x[g]``.
+    """
+    degree = max(len(g) for g in generators)
+    identity = np.arange(degree, dtype=np.int64)
+    gens = np.array([list(g) + list(range(len(g), degree)) for g in generators], dtype=np.int64)
+    gens = gens[(gens != identity).any(axis=1)]
     meta = ConstructionMeta(kind, name, params)
-    return _make_group(table, meta, gen_indices)
+    if not len(gens):
+        return _make_group(_cyclic_table(1), meta, ())
+    gens = gens[np.lexsort(gens.T[::-1])]
+    gens = gens[np.r_[True, (gens[1:] != gens[:-1]).any(axis=1)]]
+    index_of = {identity.tobytes(): 0}
+    layers, parents = [identity[None, :]], [(0, 0)]
+    while len(layers[-1]):
+        start = len(index_of) - len(layers[-1])
+        products = layers[-1][:, gens].reshape(-1, degree)
+        found: dict[bytes, int] = {}
+        for f, row in enumerate(products):
+            if (key := row.tobytes()) not in index_of:
+                found.setdefault(key, f)
+        picked = np.fromiter(found.values(), dtype=np.intp, count=len(found))
+        picked = picked[np.lexsort(products[picked].T[::-1])]
+        for f in picked.tolist():
+            index_of[products[f].tobytes()] = len(index_of)
+            parents.append((start + f // len(gens), f % len(gens)))
+        layers.append(products[picked])
+        if max_order is not None and len(index_of) > max_order:
+            raise OrderLimitExceeded(f"{name}: closure exceeded the order limit {max_order}")
+    elements = np.concatenate(layers)
+    n = len(elements)
+    # lmul[g][y] is the index of g * y, so row e = p * g of the table is
+    # row p read through lmul[g]: e * y = p * (g * y).
+    lmul = [np.fromiter((index_of[y.tobytes()] for y in g[elements]), dtype=np.intp, count=n) for g in gens]
+    table = np.empty((n, n), dtype=_index_dtype(n))
+    table[0] = np.arange(n)
+    for e, (p, g) in enumerate(parents[1:], 1):
+        table[e] = table[p][lmul[g]]
+    return _make_group(table, meta, tuple(index_of[g.tobytes()] for g in gens))
 
 
 def _build_symmetric(n: int) -> GroupTable:
     if n <= 1:
         return _build_trivial(f"S{n}", "symmetric", (n,))
-    gens = [Permutation([1, 0] + list(range(2, n)))]
+    gens = [[1, 0] + list(range(2, n))]
     if n > 2:
-        gens.append(Permutation(list(range(1, n)) + [0]))
+        gens.append(list(range(1, n)) + [0])
     return _close_and_tabulate(gens, "symmetric", f"S{n}", (n,), max_order=None)
 
 
 def _build_alternating(n: int) -> GroupTable:
     if n <= 2:
         return _build_trivial(f"A{n}", "alternating", (n,))
-    three_cycle = Permutation([1, 2, 0] + list(range(3, n)))
-    gens = [three_cycle]
+    gens = [[1, 2, 0] + list(range(3, n))]
     if n > 3:
         if n % 2:
-            gens.append(Permutation(list(range(1, n)) + [0]))
+            gens.append(list(range(1, n)) + [0])
         else:
-            gens.append(Permutation([0] + list(range(2, n)) + [1]))
+            gens.append([0] + list(range(2, n)) + [1])
     return _close_and_tabulate(gens, "alternating", f"A{n}", (n,), max_order=None)
 
 
@@ -588,14 +610,14 @@ def _build_psl2(q: int) -> GroupTable:
     F = small_field(q)
     infinity = q
 
-    def moebius(a: int, b: int, c: int, d: int) -> Permutation:
+    def moebius(a: int, b: int, c: int, d: int) -> list[int]:
         images = []
         for x in range(q):
             den = F.add[F.mul[c][x]][d]
             num = F.add[F.mul[a][x]][b]
             images.append(infinity if den == 0 else F.div(num, den))
         images.append(infinity if c == 0 else F.div(a, c))
-        return Permutation(images)
+        return images
 
     gens = []
     for i in range(F.k):
@@ -609,15 +631,13 @@ def _build_psl2(q: int) -> GroupTable:
     return G
 
 
-def _load_permutation_file(path: str) -> list[Permutation]:
+def _load_permutation_file(path: str) -> list[list[int]]:
     with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh]
     texts = [line for line in lines if line and not line.startswith("#")]
     if not texts:
         raise SpecError(f"no generators found in {path}")
-    perms = [parse_cycles(text) for text in texts]
-    degree = max(p.degree for p in perms)
-    return [p.extended(degree) for p in perms]
+    return [list(parse_cycles(text).images) for text in texts]
 
 
 def _build_mathieu(n: int, max_order: int | None) -> GroupTable:

@@ -1,4 +1,4 @@
-"""Permutations on 0-based points and cycle-notation parsing.
+"""Cycle-notation parsing and formatting of permutations on 0-based points.
 
 Cycle notation in files and messages is 1-based, matching the usual
 convention for permutation group data; in-memory points are 0-based.
@@ -32,36 +32,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(x) = self(other(x)): apply other first.
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        o = other.images
-        s = self.images
-        return Permutation(s[o[x]] for x in range(len(s)))
-
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
-    def extended(self, degree: int) -> "Permutation":
-        """The same permutation acting on a larger point set."""
-        if degree < self.degree:
-            raise ValueError("cannot shrink a permutation")
-        return Permutation(self.images + tuple(range(self.degree, degree)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ecov.errors import (
 )
 from ecov.groups import (
     _generating_set,
+    _light_witness,
     build_group,
     direct_product,
     element_order,
@@ -307,6 +309,99 @@ def test_verify_large_table_methods(grp):
     assert verify_table(G.table).method == "light"
 
 
+def _reference_verdict(T) -> tuple:
+    """Each check in turn: identity, sorted rows, sorted columns, the first
+    zero of each row as a left inverse, then brute-force associativity,
+    whose witness is the one Light's test names."""
+    T = np.asarray(T)
+    n = T.shape[0]
+    if T[0].tolist() != list(range(n)) or T[:, 0].tolist() != list(range(n)):
+        return ("NoIdentity", (0,))
+    for r in range(n):
+        if sorted(T[r].tolist()) != list(range(n)):
+            return ("NotLatinSquare", ("row", r))
+    for c in range(n):
+        if sorted(T[:, c].tolist()) != list(range(n)):
+            return ("NotLatinSquare", ("column", c))
+    for x in range(n):
+        if T[T[x].tolist().index(0), x] != 0:
+            return ("NoInverse", (x,))
+    if not _brute_force_associative(T):
+        return ("NotAssociative", _light_witness(T, _generating_set(T)))
+    return (None, None)
+
+
+def _single_cell_changes(T):
+    n = T.shape[0]
+    for i in range(n):
+        for j in range(n):
+            for v in range(n):
+                if v != T[i, j]:
+                    bad = T.copy()
+                    bad[i, j] = v
+                    yield bad
+
+
+def _intercalate_swaps(T):
+    """Latin squares that differ from T in one 2x2 subsquare."""
+    n = T.shape[0]
+    for r1 in range(n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(n):
+                for c2 in range(c1 + 1, n):
+                    if T[r1, c1] == T[r2, c2] and T[r1, c2] == T[r2, c1]:
+                        bad = T.copy()
+                        bad[[r1, r2], c1], bad[[r1, r2], c2] = T[[r1, r2], c2], T[[r1, r2], c1]
+                        yield bad
+
+
+# Row 1 repeats 1, but every zero is where it was in C4, so the first zero
+# of each row is still a two-sided inverse.
+_NON_LATIN_WITH_INVERSES = [[0, 1, 2, 3], [1, 2, 1, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+
+
+def test_rejections_match_the_checks_in_order():
+    fixtures = [
+        [[0, 1, 2, 3], [1, 0, 1, 3], [2, 3, 0, 1], [3, 2, 1, 0]],
+        [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+        [[(a - b) % 3 for b in range(3)] for a in range(3)],
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+        _ORDER5_LOOP,
+        _NON_LATIN_WITH_INVERSES,
+    ]
+    tables = [np.array(t) for t in fixtures] + [_intercalate_cyclic(8)]
+    for entry in catalog(8):
+        T = build_group(entry.spec).table.astype(np.int64)
+        tables += list(_single_cell_changes(T)) + list(_intercalate_swaps(T))
+    codes = set()
+    for T in tables:
+        report = verify_table(T)
+        code, witness = _reference_verdict(T)
+        assert (report.code, report.witness) == (code, witness), T.tolist()
+        if code == "NotAssociative":
+            _assert_fails_at(T, report.witness)
+        codes.add(code)
+    assert {"NoIdentity", "NotLatinSquare", "NoInverse", "NotAssociative"} <= codes
+
+
+def test_non_latin_table_with_inverses_is_named_not_latin():
+    report = verify_table(_NON_LATIN_WITH_INVERSES)
+    assert (report.code, report.witness) == ("NotLatinSquare", ("row", 1))
+
+
+def test_verify_table_temporaries_stay_small():
+    # Blockwise inverses and Light's test need a few blocks of
+    # _LIGHT_BLOCK_CELLS cells; one sorted copy of the table would not fit.
+    G = build_group("M11")
+    tracemalloc.start()
+    try:
+        assert verify_table(G.table, generators=G.generators).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Permutations and generator closure
 
@@ -328,6 +423,76 @@ def test_permutation_closure_s3():
     G = build_group("S3")
     assert G.order == 6
     assert np.array_equal(G.table[0], np.arange(6))
+
+
+def _reference_closure(generators):
+    """Breadth-first closure on image tuples, each layer sorted, and the
+    table by composing every pair; ``x * y`` applies y first."""
+    degree = max(len(g) for g in generators)
+    identity = tuple(range(degree))
+    gens = sorted({tuple(g) + identity[len(g):] for g in generators} - {identity})
+    elements, index = [identity], {identity: 0}
+    layer = [identity]
+    while layer:
+        layer = sorted({tuple(x[p] for p in g) for x in layer for g in gens} - index.keys())
+        for y in layer:
+            index[y] = len(elements)
+            elements.append(y)
+    table = [[index[tuple(x[p] for p in y)] for y in elements] for x in elements]
+    return np.array(table), tuple(index[g] for g in gens)
+
+
+def _psl2_generators(q):
+    from ecov.gf import small_field
+
+    F = small_field(q)
+
+    def moebius(a, b, c, d):
+        images = []
+        for x in range(q):
+            den = F.add[F.mul[c][x]][d]
+            images.append(q if den == 0 else F.div(F.add[F.mul[a][x]][b], den))
+        return images + [q if c == 0 else F.div(a, c)]
+
+    return [moebius(1, F.p**i, 0, 1) for i in range(F.k)] + [moebius(0, F.neg[1], 1, 0)]
+
+
+_REFERENCE_GENERATORS = {
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+    "S5": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+    "A5": [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]],
+    "A6": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]],
+    "PSL(2,7)": _psl2_generators(7),
+    "PSL(2,8)": _psl2_generators(8),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_REFERENCE_GENERATORS))
+def test_permutation_numbering_matches_reference_closure(grp, spec):
+    table, gens = _reference_closure(_REFERENCE_GENERATORS[spec])
+    G = grp(spec)
+    assert np.array_equal(G.table, table)
+    assert G.generators == gens
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1,2)\n()\n(1,2,3,4,5)\n(1,2)\n(2,3)(6,7)\n",
+        "(1,2)\n(3)\n",
+        "(2,3,4)\n(1,2)(3,4)\n(2,3,4)\n",
+        "()\n",
+    ],
+    ids=["mixed-degrees", "identity-of-degree-3", "repeat", "trivial"],
+)
+def test_permutation_file_numbering_matches_reference_closure(tmp_path, text):
+    # Mixed degrees, identities written at several degrees, and repeats.
+    path = tmp_path / "gens.txt"
+    path.write_text(text, encoding="utf-8")
+    G = build_group(f"perm:{path}")
+    table, gens = _reference_closure([parse_cycles(line).images for line in text.splitlines()])
+    assert np.array_equal(G.table, table)
+    assert G.generators == gens
 
 
 def test_permutation_closure_respects_limit(tmp_path):
