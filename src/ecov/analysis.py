@@ -168,21 +168,6 @@ class StructureReport:
     smallest_prime_divisor: int | None
     center_order: int
 
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "exponent": self.exponent,
-            "is_cyclic": self.is_cyclic,
-            "is_abelian": self.is_abelian,
-            "is_p_group": self.is_p_group,
-            "p": self.p,
-            "is_nilpotent": self.is_nilpotent,
-            "is_simple": self.is_simple,
-            "order_is_square_free": self.order_is_square_free,
-            "smallest_prime_divisor": self.smallest_prime_divisor,
-            "center_order": self.center_order,
-        }
-
 
 def structure_report(G: GroupTable) -> StructureReport:
     cyc = is_cyclic(G)

@@ -4,9 +4,10 @@ Subgroups are stored as bitmasks over element indices plus sorted member
 tuples.  The full lattice is found by cyclic extension up to conjugacy
 (Neubueser's method): only one representative per conjugacy class is
 extended, by the least element of each right coset it does not cover, and
-each new subgroup's class is filled in from the conjugation maps.  The
-classes come out of the enumeration, and a subgroup is normal exactly when
-its class has one member.
+each new subgroup's class is filled in from the conjugation maps.  Both
+annotations come out of the enumeration: a subgroup is normal exactly when
+its class has one member, and a proper subgroup is maximal exactly when
+every extension of its class representative is the whole group.
 Every closure goes through one list kernel, ``groups._close``: a seed
 closed under index maps, which are columns of the table (right
 multiplications) or the conjugation maps.  A generated subgroup closes the
@@ -14,9 +15,9 @@ identity under its generators' columns; a normal closure adds the
 conjugation maps, so it needs one map per seed element and per group
 generator.  Only the lattice, whose extensions range over every element,
 takes all columns at once.
-Normal-subgroup and conjugacy machinery that does not need the full
-lattice (normal closures, class-closure enumeration) lives here too, so
-decision rules can run on groups too large to enumerate fully.
+Normal subgroups can also be found without the full lattice, as joins of
+the normal closures of element classes, so decision rules can run on
+groups too large to enumerate fully.
 """
 from __future__ import annotations
 
@@ -111,20 +112,21 @@ def _conjugate_mask(cmap: list[int], H: Subgroup) -> int:
 
 @dataclass(eq=False)
 class SubgroupLattice:
-    """Every subgroup of a group, its conjugacy classes and lazy annotations.
+    """Every subgroup of a group, its conjugacy classes and annotations.
 
-    Built from the subgroups and their conjugation orbits.  ``classes`` lists
-    the subgroup indices of each orbit in ascending order, and the classes
-    are numbered by their least index.  It holds the group's order, not the
-    group, so a group and its cached lattice form no reference cycle.
+    Built from the subgroups, their conjugation orbits and the maximality
+    flags the enumeration found.  ``classes`` lists the subgroup indices of
+    each orbit in ascending order, and the classes are numbered by their
+    least index.  It holds the group's order, not the group, so a group and
+    its cached lattice form no reference cycle.
     """
 
     order: int
     subgroups: tuple[Subgroup, ...]
     orbits: InitVar[list[list[Subgroup]]]
+    maximal_flags: tuple[bool, ...] = field(repr=False)
     classes: tuple[tuple[int, ...], ...] = field(init=False)
     class_of: tuple[int, ...] = field(init=False, repr=False)
-    _maximal: tuple[bool, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self, orbits):
         index = {s.mask: i for i, s in enumerate(self.subgroups)}
@@ -137,30 +139,6 @@ class SubgroupLattice:
 
     def of_order(self, d: int) -> list[Subgroup]:
         return [s for s in self.subgroups if s.order == d]
-
-    @property
-    def maximal_flags(self) -> tuple[bool, ...]:
-        if self._maximal is None:
-            n = self.order
-            subs = self.subgroups
-            flags = []
-            for i, H in enumerate(subs):
-                if H.order == n:
-                    flags.append(False)
-                    continue
-                maximal = True
-                for K in subs:
-                    if (
-                        K.order > H.order
-                        and K.order < n
-                        and K.order % H.order == 0
-                        and K.mask & H.mask == H.mask
-                    ):
-                        maximal = False
-                        break
-                flags.append(maximal)
-            self._maximal = tuple(flags)
-        return self._maximal
 
     @property
     def normal_flags(self) -> tuple[bool, ...]:
@@ -178,6 +156,12 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     representative R of its class, then K^(x^-1) = <R, g^(x^-1)> is an
     extension of R, so extending representatives reaches every class.  When
     an extension is new, a BFS over the conjugation maps adds its whole class.
+
+    A proper H is maximal exactly when each of these extensions is G.  For
+    H < K < G, take g in K outside H: the least element of the coset Hg is
+    some h*g, so it lies in K and its extension lies in K.  Maximality is
+    kept under conjugation, so the representative's flag holds for its
+    class.
     """
     n = G.order
     if n > limit:
@@ -190,8 +174,9 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     maps = [cmap for cmap in _conjugation_maps(G) if cmap != identity]
     seen: dict[int, Subgroup] = {}
     orbits: list[list[Subgroup]] = []
+    maximal: set[int] = set()
 
-    def add_class(K: Subgroup) -> None:
+    def add_class(K: Subgroup) -> list[Subgroup]:
         seen[K.mask] = K
         orbit = [K]
         for S in orbit:
@@ -206,12 +191,13 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
                     seen[mask] = C
                     orbit.append(C)
         orbits.append(orbit)
+        return orbit
 
     trivial = Subgroup.from_members((0,), ())
-    add_class(trivial)
-    worklist: list[Subgroup] = [trivial]
+    worklist = [add_class(trivial)]
     while worklist:
-        H = worklist.pop()
+        orbit = worklist.pop()
+        H = orbit[0]
         covered = H.mask
         minima = []
         for g in range(1, n):
@@ -220,18 +206,20 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
             minima.append(g)
             for h in H.members:
                 covered |= 1 << cols[g][h]
+        any_proper = False
         for g in minima:
             gens = H.generators + (g,)
-            K = _subgroup(G, _close([cols[x] for x in gens], H.members + (g,), n // 2), gens)
+            members = _close([cols[x] for x in gens], H.members + (g,), n // 2)
+            any_proper = any_proper or members is not None
+            K = _subgroup(G, members, gens)
             if K.mask not in seen:
-                add_class(K)
+                added = add_class(K)
                 if K.order < n:
-                    worklist.append(K)
-    full = _subgroup(G, None, ())
-    if full.mask not in seen:
-        add_class(full)
+                    worklist.append(added)
+        if H.order < n and not any_proper:
+            maximal.update(S.mask for S in orbit)
     subs = tuple(sorted(seen.values(), key=lambda s: (s.order, s.members)))
-    return SubgroupLattice(n, subs, orbits)
+    return SubgroupLattice(n, subs, orbits, tuple(s.mask in maximal for s in subs))
 
 
 def get_lattice(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> SubgroupLattice:
@@ -302,32 +290,39 @@ def normal_closure(G: GroupTable, elements) -> Subgroup:
 def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:
     """All normal subgroups without enumerating the full lattice.
 
-    Every normal subgroup is a chain of extensions of smaller normal
-    subgroups by whole element classes.  N extended by the class of x is
-    N<x^G>: N's members closed under right multiplication by x and the
-    conjugation maps, by the argument in ``normal_closure``.
+    A normal subgroup is the join of the normal closures <x^G> of the
+    element classes it meets, and the join of normal N and M is N*M.  So
+    the trivial subgroup, closed under products with each distinct class
+    closure, gives every normal subgroup.  N*C is the union of the cosets
+    Nc for c in C, one gather of the table each.  A join records the
+    sorted class representatives it was built from as its generators.
     """
     n = G.order
     T = G.table
-    conj = _conjugation_maps(G)
-    classes = element_conjugacy_classes(G)
+    closures = {}
+    for cls in element_conjugacy_classes(G)[1:]:
+        C = normal_closure(G, (cls[0],))
+        closures.setdefault(C.mask, C)
     trivial = Subgroup.from_members((0,), ())
     seen: dict[int, Subgroup] = {trivial.mask: trivial}
     worklist = [trivial]
     while worklist:
         N = worklist.pop()
-        if N.order == n:
-            continue
-        for cls in classes:
-            if (N.mask >> cls[0]) & 1:
+        rows = np.array(N.members)
+        for C in closures.values():
+            if N.contains(C):
                 continue
-            members = _close([T[:, cls[0]].tolist()] + conj, N.members, n // 2)
-            K = _subgroup(G, members, tuple(sorted((set(N.members) | set(cls)) - {0})))
+            inside = np.zeros(n, dtype=bool)
+            inside[rows] = True
+            for c in C.members:
+                if not inside[c]:
+                    inside[T[rows, c]] = True
+            members = np.flatnonzero(inside).tolist()
+            gens = tuple(sorted(set(N.generators) | set(C.generators)))
+            K = _subgroup(G, None if len(members) == n else members, gens)
             if K.mask not in seen:
                 seen[K.mask] = K
                 worklist.append(K)
-    full = _subgroup(G, None, ())
-    seen.setdefault(full.mask, full)
     return sorted(seen.values(), key=lambda s: (s.order, s.members))
 
 

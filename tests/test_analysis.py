@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -177,7 +178,7 @@ def test_klein_quotient_detection(grp):
 
 def test_structure_report_fields(grp):
     rep = structure_report(grp("D12"))
-    d = rep.as_dict()
+    d = dataclasses.asdict(rep)
     assert d["order"] == 12 and d["exponent"] == 6
     assert not d["is_cyclic"] and not d["is_abelian"] and not d["is_nilpotent"]
     assert d["center_order"] == 2 and d["smallest_prime_divisor"] == 2

@@ -181,6 +181,37 @@ def test_q8_maximal_subgroups(grp):
     assert all(central in s.members for s in L.subgroups if s.order > 1)
 
 
+@pytest.mark.parametrize(
+    "spec,count",
+    [
+        ("S4", 8),  # A4, 3 D8, 4 S3
+        ("S5", 22),  # A5, 5 S4, 6 of order 20, 10 S3xS2
+        ("A5", 21),  # 5 A4, 6 D10, 10 S3
+        ("PSL(2,7)", 22),  # 7 + 7 S4, 8 of order 21
+        ("A6", 52),  # 6 + 6 A5, 10 of order 36, 15 + 15 S4
+        ("PSL(2,8)", 73),  # 9 of order 56, 28 D18, 36 D14
+        ("PSL(2,11)", 89),  # 11 + 11 A5, 12 of order 55, 55 A4
+        ("D12", 6),  # C6, 2 D6, 3 Klein four-groups
+        ("Q8", 3),  # 3 cyclic of order 4
+        ("E(2,6)", 63),  # hyperplanes: (p^k - 1)/(p - 1)
+        ("E(3,4)", 40),
+    ],
+)
+def test_maximal_subgroup_counts_match_theory(grp, spec, count):
+    assert len(maximal_subgroups(get_lattice(grp(spec)))) == count
+
+
+def test_maximal_flags_match_the_definition():
+    """Over catalog(60): flagged exactly when proper and no lattice member
+    lies strictly between the subgroup and G."""
+    for entry in catalog(60):
+        L = get_lattice(build_group(entry.spec))
+        n = L.order
+        for H, flag in zip(L.subgroups, L.maximal_flags):
+            between = any(H.order < K.order < n and K.contains(H) for K in L.subgroups)
+            assert flag == (H.order < n and not between), (entry.display, H)
+
+
 def test_normal_subgroups_s4_and_a5(grp):
     L4 = get_lattice(grp("S4"))
     assert sorted(s.order for s in normal_subgroups(L4)) == [1, 4, 12, 24]
@@ -245,8 +276,25 @@ def test_normal_closure_matches_minimal_normal_over(grp):
             assert closure.generators == recorded, (spec, seed)
 
 
+def num_divisors(n: int) -> int:
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_dihedral_normal_subgroup_counts_match_theory():
+    """D(2n) has tau(n) + 1 normal subgroups for odd n and tau(n) + 3 for even n:
+    every rotation subgroup, G, and for even n the two dihedral halves of
+    index 2."""
+    for entry in catalog(240):
+        if entry.spec.family != "dihedral":
+            continue
+        n = entry.order // 2
+        want = num_divisors(n) + (3 if n % 2 == 0 else 1)
+        assert len(normal_subgroups_direct(build_group(entry.spec))) == want, entry.display
+
+
 def test_normal_scan_builds_no_square_list():
-    """The scan closes under one column per class, never under all n columns."""
+    """The scan joins class closures one coset gather at a time, and never
+    holds a |N| x |C| block of products."""
     G = build_group("D600")
     tracemalloc.start()
     try:
