@@ -133,16 +133,16 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _invariant_command(args, name: str) -> int:
+def _invariant_command(args) -> int:
     G = build_group(args.spec)
-    L = get_lattice(G, args.lattice_limit) if G.order <= args.lattice_limit else None
+    name = args.invariant
     if name == "sigma":
-        result = sigma(G, L, lattice_limit=args.lattice_limit)
+        result = sigma(G, lattice_limit=args.lattice_limit)
         value, witness = result.value, result.witness
     elif name == "epsilon":
-        value, witness = epsilon(G, L, lattice_limit=args.lattice_limit)
+        value, witness = epsilon(G, lattice_limit=args.lattice_limit)
     else:
-        value, witness = rho(G, L, lattice_limit=args.lattice_limit)
+        value, witness = rho(G, lattice_limit=args.lattice_limit)
     lines = [f"{name}({G.meta.name}) = {_fmt_value(value)}"]
     if witness is not None:
         lines.append(f"witness: {_member_summary(witness)}")
@@ -155,8 +155,7 @@ def _invariant_command(args, name: str) -> int:
 
 def _cmd_partition(args) -> int:
     G = build_group(args.spec)
-    L = get_lattice(G, args.lattice_limit) if G.order <= args.lattice_limit else None
-    exists, cert = equal_partition_exists(G, L, lattice_limit=args.lattice_limit)
+    exists, cert = equal_partition_exists(G, lattice_limit=args.lattice_limit)
     if exists:
         lines = [f"equal partition: yes — {_member_summary(cert)}"]
         if args.witness:
@@ -300,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "invariant", None):
-            return _invariant_command(args, args.invariant)
         return args.func(args)
     except (RulesInconclusive, InconclusiveHints) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

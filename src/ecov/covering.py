@@ -7,10 +7,13 @@ with an exhaustive divisor-by-divisor union test as the fallback.  The
 ladder is the table _LADDER: its order is the order the rules are tried
 (cheapest first), and a rule is one entry.  T18, C3 and T21 share one
 pull-back step that decides a smaller image group and takes preimages.
-Every Yes is returned with a certificate that is re-verified before
-leaving the engine.  sigma/epsilon/rho compute the minimum sizes of
-coverings, equal coverings, and partitions by branch-and-bound searches
-whose witnesses are verified the same way.
+Every Yes, the exhaustive test's included, is returned with a
+certificate that is re-verified before leaving the engine.
+sigma/epsilon/rho compute the minimum sizes of coverings, equal coverings,
+and partitions by branch-and-bound searches whose witnesses are verified
+the same way.  The covering search has no greedy start: it counts only
+covers smaller than the bound it is given.  A function that needs the
+subgroup lattice takes it from get_lattice, which caches it on the group.
 """
 from __future__ import annotations
 
@@ -43,11 +46,11 @@ from .errors import (
 from .groups import GroupTable, _is_prime, exponent, quotient
 from .lattice import (
     FULL_LATTICE_LIMIT,
+    Subgroup,
     SubgroupLattice,
     get_lattice,
     maximal_subgroups,
     normal_subgroups_direct,
-    subgroups_of_order,
 )
 
 __all__ = [
@@ -281,27 +284,43 @@ def _decision(status: str, method: str, certificate: Certificate | None, t0: flo
     return Decision(status, method, CITATIONS[method], certificate, time.perf_counter() - t0)
 
 
-def equal_covering_exhaustive(
-    G: GroupTable, L: SubgroupLattice | None = None, lattice_limit: int = FULL_LATTICE_LIMIT
-) -> Decision:
+def _verify_yes(G: GroupTable, cert: Certificate, method: str) -> None:
+    report = verify_certificate(G, cert)
+    if not report.ok:  # pragma: no cover - soundness guard
+        raise AssertionError(
+            f"internal soundness failure: {method} produced an invalid certificate: {report.describe()}"
+        )
+
+
+def _covering_family(L: SubgroupLattice, d: int) -> list[Subgroup] | None:
+    """The order-d subgroups, in member order, when their union is the group."""
+    fams = L.of_order(d)
+    union = 0
+    for s in fams:
+        union |= s.mask
+    return fams if union == (1 << L.order) - 1 else None
+
+
+def _witness(G: GroupTable, mode: str, method: str, subgroups) -> Certificate:
+    """The chosen subgroups as a verified certificate, members in sorted order."""
+    cert = Certificate(mode, tuple(sorted(s.members for s in subgroups)))
+    _verify_yes(G, cert, method)
+    return cert
+
+
+def equal_covering_exhaustive(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> Decision:
     """Divisor-by-divisor union test over the full lattice.
 
     For each proper divisor d of |G| that the exponent divides, the union
     of ALL order-d subgroups covers G iff some equal covering with member
-    order d exists (any such covering only grows by adding the rest).
+    order d exists (any such covering only grows by adding the rest).  The
+    lattice is built only once some divisor qualifies.
     """
     t0 = time.perf_counter()
-    n = G.order
-    full = (1 << n) - 1
-    for d in qualifying_divisors(n, exponent(G)):
-        if L is None:
-            L = get_lattice(G, lattice_limit)
-        fams = subgroups_of_order(L, d)
-        union = 0
-        for s in fams:
-            union |= s.mask
-        if union == full:
-            cert = Certificate("EqualCovering", tuple(s.members for s in fams))
+    for d in qualifying_divisors(G.order, exponent(G)):
+        fams = _covering_family(get_lattice(G, lattice_limit), d)
+        if fams is not None:
+            cert = _witness(G, "EqualCovering", "Exhaustive", fams)
             return _decision("Yes", "Exhaustive", cert, t0)
     return _decision("No", "Exhaustive", None, t0)
 
@@ -313,14 +332,6 @@ def _preimage(cert: Certificate, proj) -> Certificate:
         "EqualCovering",
         tuple(tuple(np.flatnonzero(np.isin(proj, mem)).tolist()) for mem in cert.members),
     )
-
-
-def _verify_yes(G: GroupTable, cert: Certificate, method: str) -> None:
-    report = verify_certificate(G, cert)
-    if not report.ok:  # pragma: no cover - soundness guard
-        raise AssertionError(
-            f"internal soundness failure: {method} produced an invalid certificate: {report.describe()}"
-        )
 
 
 _NO = ("No", None)
@@ -547,76 +558,41 @@ class _Budget:
             )
 
 
-def _greedy_cover(masks: list[int], target: int) -> list[int] | None:
-    chosen = []
-    covered = 0
-    while covered & target != target:
-        best_i, best_gain = -1, 0
-        for i, m in enumerate(masks):
-            gain = (m & target & ~covered).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_i < 0:
-            return None
-        chosen.append(best_i)
-        covered |= masks[best_i]
-    return chosen
-
-
 def _min_set_cover(
     masks: list[int],
     target: int,
     stop_at: int,
     budget: _Budget,
-    upper: int | None = None,
+    bound: int | float = INFINITY,
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Exact minimum cover of target by the given masks, or None if impossible.
+    """Exact minimum cover of target by the given masks among covers smaller than bound.
 
+    None when no such cover exists, the target being uncoverable included.
     stop_at is a proven lower bound: a solution of that size ends the search.
+    Branches on the uncovered element in the fewest masks, most new elements
+    first.  A chosen mask lies inside what is covered, so the candidates of
+    an uncovered element never include one.
     """
-    greedy = _greedy_cover(masks, target)
-    if greedy is None:
-        return None
-    best = len(greedy)
-    best_sets: tuple[int, ...] = tuple(greedy)
-    if upper is not None and upper < best:
-        best = upper + 1  # only look for strictly better than the cap
-        best_sets = ()
-    if best <= stop_at:
-        return best, best_sets
-    max_gain = max((m & target).bit_count() for m in masks)
-    element_sets: dict[int, list[int]] = {}
-    for x in range(target.bit_length()):
-        if (target >> x) & 1:
-            element_sets[x] = [i for i, m in enumerate(masks) if (m >> x) & 1]
+    best, best_sets = bound, None
+    max_gain = max([1] + [(m & target).bit_count() for m in masks])  # 1 when no mask meets target
+    element_sets = [
+        (x, [i for i, m in enumerate(masks) if (m >> x) & 1])
+        for x in range(target.bit_length())
+        if (target >> x) & 1
+    ]
+    element_sets.sort(key=lambda entry: len(entry[1]))
 
     def dfs(covered: int, chosen: list[int]):
         nonlocal best, best_sets
         budget.tick()
         remaining = target & ~covered
+        if len(chosen) + -(-remaining.bit_count() // max_gain) >= best:
+            return
         if remaining == 0:
-            if len(chosen) < best:
-                best = len(chosen)
-                best_sets = tuple(chosen)
+            best, best_sets = len(chosen), tuple(chosen)
             return
-        if len(chosen) + (remaining.bit_count() + max_gain - 1) // max_gain >= best:
-            return
-        if best <= stop_at:
-            return
-        # branch on the uncovered element with the fewest candidate sets
-        pick, pick_cands = -1, None
-        for x, cands in element_sets.items():
-            if not (remaining >> x) & 1:
-                continue
-            live = [i for i in cands if i not in chosen]
-            if pick_cands is None or len(live) < len(pick_cands):
-                pick, pick_cands = x, live
-                if len(live) <= 1:
-                    break
-        if not pick_cands:
-            return
-        pick_cands.sort(key=lambda i: -(masks[i] & remaining).bit_count())
-        for i in pick_cands:
+        cands = next(c for x, c in element_sets if (remaining >> x) & 1)
+        for i in sorted(cands, key=lambda i: -(masks[i] & remaining).bit_count()):
             chosen.append(i)
             dfs(covered | masks[i], chosen)
             chosen.pop()
@@ -624,9 +600,7 @@ def _min_set_cover(
                 return
 
     dfs(0, [])
-    if not best_sets and upper is not None and best == upper + 1:
-        return None
-    return best, best_sets
+    return None if best_sets is None else (best, best_sets)
 
 
 @dataclass(frozen=True)
@@ -638,9 +612,7 @@ class SigmaResult:
     bounds_log: tuple = ()
 
 
-def sigma(
-    G: GroupTable, L: SubgroupLattice | None = None, lattice_limit: int = FULL_LATTICE_LIMIT
-) -> SigmaResult:
+def sigma(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> SigmaResult:
     """Minimum number of proper subgroups covering G; Infinity iff cyclic.
 
     The search runs over maximal subgroups only: any covering stays a
@@ -649,8 +621,7 @@ def sigma(
     """
     if is_cyclic(G):
         return SigmaResult(INFINITY, None, ((INFINITY, "cyclic groups have no covering"),))
-    if L is None:
-        L = get_lattice(G, lattice_limit)
+    L = get_lattice(G, lattice_limit)
     n = G.order
     p = smallest_prime_divisor(n)
     lower = max(3, p + 1)
@@ -665,15 +636,13 @@ def sigma(
     if found is None:  # pragma: no cover - non-cyclic groups are always coverable
         raise AssertionError("maximal subgroups fail to cover a non-cyclic group")
     value, chosen = found
-    members = tuple(sorted(maximals[i].members for i in chosen))
-    witness = Certificate("Covering", members)
-    _verify_yes(G, witness, "sigma")
+    witness = _witness(G, "Covering", "sigma", [maximals[i] for i in chosen])
     log.append((value, "exact branch-and-bound over maximal subgroups"))
     return SigmaResult(value, witness, tuple(log))
 
 
 def epsilon(
-    G: GroupTable, L: SubgroupLattice | None = None, lattice_limit: int = FULL_LATTICE_LIMIT
+    G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT
 ) -> tuple[int | float, Certificate | None]:
     """Minimum size of an equal covering; Infinity when none exists.
 
@@ -684,43 +653,34 @@ def epsilon(
     """
     if is_cyclic(G):
         return INFINITY, None
-    if L is None:
-        L = get_lattice(G, lattice_limit)
+    L = get_lattice(G, lattice_limit)
     n = G.order
     full = (1 << n) - 1
     p = smallest_prime_divisor(n)
     stop_at = max(3, p + 1)
     budget = _Budget(_SEARCH_NODE_BUDGET)
     best: int | float = INFINITY
-    best_members: tuple | None = None
+    best_family: list[Subgroup] = []
     for d in reversed(qualifying_divisors(n, exponent(G))):
         if -(-(n - 1) // (d - 1)) >= best:
             break  # the bound only grows as d falls
-        fams = subgroups_of_order(L, d)
-        union = 0
-        for s in fams:
-            union |= s.mask
-        if union != full:
+        fams = _covering_family(L, d)
+        if fams is None:
             continue
-        cap = None if best is INFINITY else int(best) - 1
-        found = _min_set_cover([s.mask for s in fams], full & ~1, stop_at, budget, upper=cap)
+        found = _min_set_cover([s.mask for s in fams], full & ~1, stop_at, budget, best)
         if found is None:
             continue
-        value, chosen = found
-        if value < best:
-            best = value
-            best_members = tuple(sorted(fams[i].members for i in chosen))
+        best, chosen = found
+        best_family = [fams[i] for i in chosen]
         if best <= stop_at:
             break
-    if best_members is None:
+    if best == INFINITY:
         return INFINITY, None
-    witness = Certificate("EqualCovering", best_members)
-    _verify_yes(G, witness, "epsilon")
-    return best, witness
+    return best, _witness(G, "EqualCovering", "epsilon", best_family)
 
 
 def _min_exact_cover(
-    masks: list[int], target: int, budget: _Budget, stop_at: int = 0
+    masks: list[int], target: int, stop_at: int, budget: _Budget
 ) -> tuple[int, tuple[int, ...]] | None:
     """Minimum number of pairwise-disjoint masks exactly covering target.
 
@@ -771,7 +731,7 @@ def _min_exact_cover(
 
 
 def rho(
-    G: GroupTable, L: SubgroupLattice | None = None, lattice_limit: int = FULL_LATTICE_LIMIT
+    G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT
 ) -> tuple[int | float, Certificate | None]:
     """Minimum partition size (pairwise-trivial intersections); Infinity if none.
 
@@ -789,23 +749,20 @@ def rho(
         raise SearchBudgetExceeded(
             f"partition search is limited to order {PARTITION_SEARCH_LIMIT}, got {n}"
         )
-    if L is None:
-        L = get_lattice(G, lattice_limit)
+    L = get_lattice(G, lattice_limit)
     blocks = [s for s in L.subgroups if 1 < s.order < n]
     masks = [s.mask & ~1 for s in blocks]
     target = ((1 << n) - 1) & ~1
     lower = min((1 + -(-(n - m) // (min(m, n // m) - 1)) for m in {s.order for s in blocks}), default=0)
-    found = _min_exact_cover(masks, target, _Budget(_SEARCH_NODE_BUDGET), lower)
+    found = _min_exact_cover(masks, target, lower, _Budget(_SEARCH_NODE_BUDGET))
     if found is None:
         return INFINITY, None
     value, chosen = found
-    witness = Certificate("Partition", tuple(sorted(blocks[i].members for i in chosen)))
-    _verify_yes(G, witness, "rho")
-    return value, witness
+    return value, _witness(G, "Partition", "rho", [blocks[i] for i in chosen])
 
 
 def equal_partition_exists(
-    G: GroupTable, L: SubgroupLattice | None = None, lattice_limit: int = FULL_LATTICE_LIMIT
+    G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT
 ) -> tuple[bool, Certificate | None]:
     """Is there a partition whose members all share one order?
 
@@ -821,30 +778,20 @@ def equal_partition_exists(
         raise SearchBudgetExceeded(
             f"partition search is limited to order {PARTITION_SEARCH_LIMIT}, got {n}"
         )
-    if L is None:
-        L = get_lattice(G, lattice_limit)
+    L = get_lattice(G, lattice_limit)
     full = (1 << n) - 1
     for d in qualifying_divisors(n, exponent(G)):
         if (n - 1) % (d - 1):
             continue
-        fams = subgroups_of_order(L, d)
-        if not fams:
+        fams = _covering_family(L, d)
+        if fams is None:
             continue
-        union = 0
-        for s in fams:
-            union |= s.mask
-        if union != full:
-            continue
-        if _is_prime(d):
-            cert = Certificate("EqualPartition", tuple(s.members for s in fams))
-            _verify_yes(G, cert, "equal_partition_exists")
-            return True, cert
-        masks = [s.mask & ~1 for s in fams]
-        # every exact cover by order-d blocks has (n-1)/(d-1) members
-        found = _min_exact_cover(masks, full & ~1, _Budget(_SEARCH_NODE_BUDGET), (n - 1) // (d - 1))
-        if found is not None:
-            _, chosen = found
-            cert = Certificate("EqualPartition", tuple(sorted(fams[i].members for i in chosen)))
-            _verify_yes(G, cert, "equal_partition_exists")
-            return True, cert
+        if not _is_prime(d):
+            masks = [s.mask & ~1 for s in fams]
+            # every exact cover by order-d blocks has (n-1)/(d-1) members
+            found = _min_exact_cover(masks, full & ~1, (n - 1) // (d - 1), _Budget(_SEARCH_NODE_BUDGET))
+            if found is None:
+                continue
+            fams = [fams[i] for i in found[1]]
+        return True, _witness(G, "EqualPartition", "equal_partition_exists", fams)
     return False, None

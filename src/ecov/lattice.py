@@ -35,7 +35,6 @@ __all__ = [
     "generated_subgroup",
     "enumerate_subgroups",
     "get_lattice",
-    "subgroups_of_order",
     "maximal_subgroups",
     "normal_subgroups",
     "conjugacy_classes_of_subgroups",
@@ -227,11 +226,6 @@ def get_lattice(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> SubgroupLatti
     if G._lattice is None:
         G._lattice = enumerate_subgroups(G, limit)
     return G._lattice
-
-
-def subgroups_of_order(L: SubgroupLattice, d: int) -> list[Subgroup]:
-    """All subgroups of one order, in canonical (member-tuple) order."""
-    return L.of_order(d)
 
 
 def maximal_subgroups(L: SubgroupLattice) -> list[Subgroup]:

@@ -26,7 +26,7 @@ from ecov.analysis import (
 from ecov.census import catalog
 from ecov.errors import UndefinedForOne
 from ecov.groups import build_group, exponent
-from ecov.lattice import generated_subgroup, get_lattice, subgroups_of_order
+from ecov.lattice import generated_subgroup, get_lattice
 
 # ---------------------------------------------------------------------------
 # Integer helpers
@@ -148,7 +148,7 @@ def test_nilpotence_matches_sylow_normality_up_to_60(grp):
         L = get_lattice(G)
         expected = True
         for p, k in factorize(G.order).items():
-            if len(subgroups_of_order(L, p**k)) != 1:
+            if len(L.of_order(p**k)) != 1:
                 expected = False
                 break
         assert is_nilpotent(G) is expected, entry.display
@@ -237,7 +237,7 @@ def test_index_p_subgroup_counts(grp, spec, p, count):
     subs = index_p_subgroups(G, p)
     assert len(subs) == count
     L = get_lattice(G)
-    index_p = {s.members for s in subgroups_of_order(L, G.order // p)}
+    index_p = {s.members for s in L.of_order(G.order // p)}
     for members in subs:
         assert len(members) * p == G.order
         assert members in index_p

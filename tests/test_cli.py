@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ecov import cli, lattice
 from ecov.groups import build_group
 from ecov.lattice import get_lattice
 
@@ -326,6 +327,20 @@ def test_lattice_limit_exit_3_and_flag_positions():
     before = run("--lattice-limit", "10", "check", "A4")
     after = run("check", "A4", "--lattice-limit", "10")
     assert before.returncode == after.returncode == 3
+
+
+def test_invariants_build_no_lattice_they_do_not_need(monkeypatch, capsys):
+    """A cyclic sigma and an over-limit rho answer without enumerating subgroups."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subgroup lattice was enumerated")
+
+    monkeypatch.setattr(lattice, "enumerate_subgroups", refuse)
+    assert cli.main(["sigma", "C1500"]) == 0
+    assert capsys.readouterr().out == "sigma(C1500) = infinity\n"
+    assert cli.main(["rho", "C2xC600"]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource limit: partition search is limited to order 200, got 1200\n"
 
 
 def test_check_rejects_non_associative_cayley_file(tmp_path):

@@ -367,6 +367,20 @@ def test_exhaustive_mode_on_yes_group(grp):
     assert decide(grp("C12"), "exhaustive").method == "Exhaustive"
 
 
+def test_exhaustive_yes_is_verified(grp, monkeypatch):
+    G = grp("D8")
+    checked = []
+
+    def counting(group, cert):
+        checked.append(cert)
+        return verify_certificate(group, cert)
+
+    monkeypatch.setattr(covering, "verify_certificate", counting)
+    d = decide(G, "exhaustive")
+    assert d.status == "Yes" and d.method == "Exhaustive"
+    assert checked == [d.certificate]
+
+
 def test_c2xd10_regression_yes_both_ways(grp):
     # Adversarial case: both direct factors lack equal coverings, yet the
     # product has one (three order-10 subgroups).
@@ -497,6 +511,11 @@ def brute_sigma(G, L):
         ("D10", 6),
         ("E(5,2)", 6),
         ("W", 6),
+        # Cohn 1994; Bryce, Fedri and Serena 1999
+        ("PSL(2,7)", 15),
+        ("S5", 16),
+        ("PSL(2,8)", 36),
+        ("PSL(2,11)", 67),
     ],
 )
 def test_sigma_primitive_values(grp, spec, value):
@@ -534,6 +553,16 @@ def test_set_cover_bound_ignores_the_identity_bit(grp, spec, order, value):
         runs.append((_min_set_cover(masks, target, 0, budget), budget.nodes))
     assert runs[0] == runs[1]
     assert runs[0][0][0] == value
+
+
+def test_set_cover_counts_only_covers_below_the_bound(grp):
+    """Covers of the bound's size or more are no answer, nor is an uncoverable target."""
+    G = grp("E(2,3)")
+    masks = [s.mask for s in maximal_subgroups(get_lattice(G))]
+    target = ((1 << G.order) - 1) & ~1
+    assert _min_set_cover(masks, target, 3, _Budget(10**6), 4)[0] == 3
+    assert _min_set_cover(masks, target, 0, _Budget(10**6), 3) is None
+    assert _min_set_cover(masks, target | 1 << G.order, 0, _Budget(10**6)) is None
 
 
 def test_sigma_of_cyclic_is_infinite(grp):

@@ -27,7 +27,6 @@ from ecov.lattice import (
     normal_closure,
     normal_subgroups,
     normal_subgroups_direct,
-    subgroups_of_order,
 )
 
 
@@ -318,8 +317,8 @@ def test_generated_subgroup(grp):
 
 def test_subgroups_of_order(grp):
     L = get_lattice(grp("D12"))
-    assert [s.order for s in subgroups_of_order(L, 6)] == [6, 6, 6]
-    assert subgroups_of_order(L, 5) == []
+    assert [s.order for s in L.of_order(6)] == [6, 6, 6]
+    assert L.of_order(5) == []
 
 
 def test_subgroup_value_semantics(grp):
