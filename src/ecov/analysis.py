@@ -120,15 +120,18 @@ def is_simple(G: GroupTable) -> bool:
     An abelian group is simple iff its order is prime.  Otherwise every
     nontrivial normal subgroup contains the normal closure of some
     non-identity element, so G is simple iff each such closure is G; one
-    element per conjugacy class suffices, smallest classes first.
+    element per conjugacy class suffices.  Every x != 1 has a power y of
+    prime order, and <y^G> lies in <x^G>, so it is enough that the closures
+    of the prime-order classes are G.  These are tested smallest class first.
     """
     n = G.order
     if n == 1:
         return False
     if is_abelian(G):
         return factorize(n) == {n: 1}
-    classes = sorted(element_conjugacy_classes(G)[1:], key=len)
-    return all(normal_closure(G, c[:1]).order == n for c in classes)
+    orders = G.element_orders()
+    prime = [c for c in element_conjugacy_classes(G)[1:] if smallest_prime_divisor(orders[c[0]]) == orders[c[0]]]
+    return all(normal_closure(G, c[:1]).order == n for c in sorted(prime, key=len))
 
 
 def has_klein_quotient(G: GroupTable, L: SubgroupLattice) -> Subgroup | None:

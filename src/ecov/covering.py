@@ -649,11 +649,11 @@ def epsilon(
     Orders d are scanned from the largest down.  An order-d subgroup covers
     d - 1 non-identity elements, so order d needs ceil((|G|-1)/(d-1)) members
     or more, and the scan stops once that reaches the best size found.  Among
-    orders that reach the minimum, the witness comes from the largest.
+    orders that reach the minimum, the witness comes from the largest.  The
+    lattice is built only once some divisor qualifies.
     """
     if is_cyclic(G):
         return INFINITY, None
-    L = get_lattice(G, lattice_limit)
     n = G.order
     full = (1 << n) - 1
     p = smallest_prime_divisor(n)
@@ -664,7 +664,7 @@ def epsilon(
     for d in reversed(qualifying_divisors(n, exponent(G))):
         if -(-(n - 1) // (d - 1)) >= best:
             break  # the bound only grows as d falls
-        fams = _covering_family(L, d)
+        fams = _covering_family(get_lattice(G, lattice_limit), d)
         if fams is None:
             continue
         found = _min_set_cover([s.mask for s in fams], full & ~1, stop_at, budget, best)
@@ -769,20 +769,23 @@ def equal_partition_exists(
     Candidate orders d must be proper divisors with exp(G) | d (a partition
     is a covering) and (d-1) | (|G|-1) (the blocks tile the non-identity
     elements).  For prime d, distinct subgroups automatically intersect
-    trivially, so existence reduces to the union test.
+    trivially, so existence reduces to the union test.  With no candidate
+    order the answer is No at any order, before the search limit and the
+    lattice.
     """
     if is_cyclic(G):
         return False, None
     n = G.order
+    candidates = [d for d in qualifying_divisors(n, exponent(G)) if (n - 1) % (d - 1) == 0]
+    if not candidates:
+        return False, None
     if n > PARTITION_SEARCH_LIMIT:
         raise SearchBudgetExceeded(
             f"partition search is limited to order {PARTITION_SEARCH_LIMIT}, got {n}"
         )
     L = get_lattice(G, lattice_limit)
     full = (1 << n) - 1
-    for d in qualifying_divisors(n, exponent(G)):
-        if (n - 1) % (d - 1):
-            continue
+    for d in candidates:
         fams = _covering_family(L, d)
         if fams is None:
             continue

@@ -52,8 +52,8 @@ MAX_ORDER = 10000
 
 # Light's test compares (xg)y with x(gy) over all x, y for one generator g
 # at a time, in blocks of rows holding about this many cells, so the
-# temporaries stay near 4M cells whatever the order.
-_LIGHT_BLOCK_CELLS = 4_000_000
+# temporaries stay near 1M cells whatever the order.
+_LIGHT_BLOCK_CELLS = 1_000_000
 
 
 def _is_prime(n: int) -> bool:
@@ -234,6 +234,8 @@ class GroupTable:
     ``table`` is the only form of the group: scalar reads go to the array,
     and loops that need plain lists build them from it for one call.
     ``generators`` must generate it: the center and conjugation maps use them alone.
+    ``inverse`` is computed from the table unless a caller that verified the
+    table passes the inverses it found.
     """
 
     __slots__ = (
@@ -245,19 +247,27 @@ class GroupTable:
         "_orders",
         "_exponent",
         "_lattice",
+        "_conjugation",
         "__weakref__",
     )
 
-    def __init__(self, table: np.ndarray, meta: ConstructionMeta, generators: tuple[int, ...]):
+    def __init__(
+        self,
+        table: np.ndarray,
+        meta: ConstructionMeta,
+        generators: tuple[int, ...],
+        inverse: list[int] | tuple[int, ...] | None = None,
+    ):
         self.order = int(table.shape[0])
         table.setflags(write=False)
         self.table = table
-        self.inverse = tuple(_right_inverses(table).tolist())
+        self.inverse = tuple(_right_inverses(table).tolist()) if inverse is None else tuple(inverse)
         self.meta = meta
         self.generators = tuple(int(g) for g in generators)
         self._orders: list[int] | None = None
         self._exponent: int | None = None
         self._lattice = None  # the SubgroupLattice, set by lattice.get_lattice
+        self._conjugation = None  # the maps x -> g x g^-1, set by lattice._conjugation_maps
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -375,11 +385,11 @@ def _light_witness(T: np.ndarray, gens: tuple[int, ...]) -> tuple[int, int, int]
     block = max(1, _LIGHT_BLOCK_CELLS // n)
     for g in gens:
         col_g = T[:, g]
-        row_g = T[g, :]
+        row_g = T[g, :].astype(np.intp)
         for start in range(0, n, block):
             stop = min(n, start + block)
             lhs = T[col_g[start:stop], :]
-            rhs = T[start:stop, :][:, row_g]
+            rhs = np.take(T[start:stop], row_g, axis=1)
             if not np.array_equal(lhs, rhs):
                 x_off, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
                 return (start + x_off, g, y)
@@ -422,34 +432,38 @@ def verify_table(table, generators: tuple[int, ...] | None = None) -> TableRepor
     check fails exactly where that zero is no left inverse; every rejected
     table thus gets the code and witness the checks give in that order.
     """
-    T = np.asarray(table)
+    return _verify_with_inverses(np.asarray(table), generators)[0]
+
+
+def _verify_with_inverses(T: np.ndarray, generators) -> tuple[TableReport, np.ndarray | None]:
+    """``verify_table``'s report, and the inverse array of a table that passes."""
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        return TableReport(False, "MalformedTable", (T.shape,))
+        return TableReport(False, "MalformedTable", (T.shape,)), None
     n = int(T.shape[0])
     if n == 0:
-        return TableReport(False, "MalformedTable", ((0, 0),))
+        return TableReport(False, "MalformedTable", ((0, 0),)), None
     if T.min() < 0 or T.max() >= n:
-        return TableReport(False, "MalformedTable", (int(T.min()), int(T.max())))
+        return TableReport(False, "MalformedTable", (int(T.min()), int(T.max()))), None
     idx = np.arange(n)
     if not (np.array_equal(T[0], idx) and np.array_equal(T[:, 0], idx)):
-        return TableReport(False, "NoIdentity", (0,))
+        return TableReport(False, "NoIdentity", (0,)), None
     right_inv = _right_inverses(T)
     two_sided = (T[idx, right_inv] == 0) & (T[right_inv, idx] == 0)
     witness = None
     if two_sided.all():
         witness = _light_witness(T, _generating_set(T, generators or ()))
         if witness is None:
-            return TableReport(True, method="light")
+            return TableReport(True, method="light"), right_inv
 
     rows_ok = (np.sort(T, axis=1) == idx).all(axis=1)
     if not rows_ok.all():
-        return TableReport(False, "NotLatinSquare", ("row", int(rows_ok.argmin())))
+        return TableReport(False, "NotLatinSquare", ("row", int(rows_ok.argmin()))), None
     cols_ok = (np.sort(T, axis=0) == idx[:, None]).all(axis=0)
     if not cols_ok.all():
-        return TableReport(False, "NotLatinSquare", ("column", int(cols_ok.argmin())))
+        return TableReport(False, "NotLatinSquare", ("column", int(cols_ok.argmin()))), None
     if not two_sided.all():
-        return TableReport(False, "NoInverse", (int(two_sided.argmin()),))
-    return TableReport(False, "NotAssociative", witness)
+        return TableReport(False, "NoInverse", (int(two_sided.argmin()),)), None
+    return TableReport(False, "NotAssociative", witness), None
 
 
 def _index_dtype(n: int):
@@ -460,13 +474,13 @@ def _make_group(
     table: np.ndarray, meta: ConstructionMeta, generators: tuple[int, ...]
 ) -> GroupTable:
     table = np.ascontiguousarray(table, dtype=_index_dtype(table.shape[0]))
-    report = verify_table(table, generators=generators)
+    report, inverse = _verify_with_inverses(table, generators)
     if not report.ok:  # pragma: no cover - builders are unit-tested
         raise ConstructionError(
             f"internal error: built table for {meta.name} fails verification: "
             f"{report.code} {report.witness}"
         )
-    return GroupTable(table, meta, generators)
+    return GroupTable(table, meta, generators, inverse.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +589,7 @@ def _close_and_tabulate(
     table = np.empty((n, n), dtype=_index_dtype(n))
     table[0] = np.arange(n)
     for e, (p, g) in enumerate(parents[1:], 1):
-        table[e] = table[p][lmul[g]]
+        np.take(table[p], lmul[g], out=table[e])
     return _make_group(table, meta, tuple(index_of[g.tobytes()] for g in gens))
 
 
@@ -663,13 +677,13 @@ def _build_cayley_file(path: str, spec_text: str) -> GroupTable:
         table = np.array(rows, dtype=np.int64)
     except ValueError:
         raise SpecError(f"{path}: ragged or non-integer table") from None
-    report = verify_table(table)
+    report, inverse = _verify_with_inverses(table, None)
     if not report.ok:
         raise InvalidRawTable(report.code, report.witness)
     table = table.astype(_index_dtype(n))
     gens = _generating_set(table)
     meta = ConstructionMeta("cayley", spec_text, (n,))
-    return GroupTable(np.ascontiguousarray(table), meta, gens)
+    return GroupTable(np.ascontiguousarray(table), meta, gens, inverse.tolist())
 
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
@@ -749,7 +763,7 @@ def _build_w() -> GroupTable:
         action.append(tuple((mult * h) % 5 for h in range(5)))
     G = semidirect_product(H, K, action)
     meta = ConstructionMeta("w", "W", (), G.meta.children, action=G.meta.action)
-    return GroupTable(G.table, meta, G.generators)
+    return GroupTable(G.table, meta, G.generators, G.inverse)
 
 
 def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
@@ -820,7 +834,7 @@ def build_group(spec: GroupSpec | str, max_order: int = MAX_ORDER) -> GroupTable
             built = direct_product(built, build_group(child, max_order))
         if len(spec.children) > 2:
             meta = ConstructionMeta("product", spec.text(), (), built.meta.children)
-            built = GroupTable(built.table, meta, built.generators)
+            built = GroupTable(built.table, meta, built.generators, built.inverse)
         return built
     if f == "cayley":
         G = _build_cayley_file(spec.path, spec.text())

@@ -96,9 +96,14 @@ def generated_subgroup(G: GroupTable, generators) -> Subgroup:
 
 
 def _conjugation_maps(G: GroupTable) -> list[list[int]]:
-    """For each group generator g, the map x -> g x g^-1."""
-    T = G.table
-    return [T[T[g], G.inverse[g]].tolist() for g in G.generators]
+    """For each group generator g, the map x -> g x g^-1, cached on G.
+
+    Callers must not modify the returned lists.
+    """
+    if G._conjugation is None:
+        T = G.table
+        G._conjugation = [T[T[g], G.inverse[g]].tolist() for g in G.generators]
+    return G._conjugation
 
 
 def _conjugate_mask(cmap: list[int], H: Subgroup) -> int:

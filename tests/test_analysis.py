@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from ecov import analysis
 from ecov.analysis import (
     center_members,
     elementary_abelian_quotient,
@@ -81,6 +82,9 @@ def test_square_free():
         ("A6", False, False, False, False, True),
         ("A7", False, False, False, False, True),
         ("PSL(2,16)", False, False, False, False, True),
+        ("PSL(2,25)", False, False, False, False, True),
+        ("M11", False, False, False, False, True),
+        ("S7", False, False, False, False, False),
         ("C1510", True, True, False, True, False),
         ("C1600", True, True, False, True, False),
     ],
@@ -92,6 +96,17 @@ def test_predicate_table(grp, spec, cyclic, abelian, pgroup, nilpotent, simple):
     assert is_p_group(G) is pgroup
     assert is_nilpotent(G) is nilpotent
     assert is_simple(G) is simple
+
+
+@pytest.mark.parametrize("spec,prime_classes", [("M11", 5), ("A7", 6)])
+def test_is_simple_closes_only_prime_order_classes(grp, monkeypatch, spec, prime_classes):
+    # ATLAS: the non-identity prime-order classes are 2A, 3A, 5A, 11A, 11B in
+    # M11 and 2A, 3A, 3B, 5A, 7A, 7B in A7.  A simple group closes each once.
+    closed = []
+    normal_closure = analysis.normal_closure
+    monkeypatch.setattr(analysis, "normal_closure", lambda G, xs: closed.append(xs) or normal_closure(G, xs))
+    assert is_simple(grp(spec))
+    assert len(closed) == prime_classes
 
 
 def test_is_simple_matches_classification_over_catalog():

@@ -343,6 +343,20 @@ def test_invariants_build_no_lattice_they_do_not_need(monkeypatch, capsys):
     assert err == "resource limit: partition search is limited to order 200, got 1200\n"
 
 
+def test_epsilon_and_partition_answer_from_the_exponent_alone(monkeypatch, capsys):
+    """No proper divisor of 3002 is a multiple of exp(D3002) = 3002, so D3002
+    has neither an equal covering nor an equal partition, at any order."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subgroup lattice was enumerated")
+
+    monkeypatch.setattr(lattice, "enumerate_subgroups", refuse)
+    assert cli.main(["epsilon", "D3002"]) == 0
+    assert capsys.readouterr().out == "epsilon(D3002) = infinity\n"
+    assert cli.main(["partition", "D3002"]) == 0
+    assert capsys.readouterr().out == "equal partition: none for D3002\n"
+
+
 def test_check_rejects_non_associative_cayley_file(tmp_path):
     # C1024 with one intercalate swapped: Latin, identity 0, two-sided
     # inverses, and only associativity fails.

@@ -648,8 +648,11 @@ def test_rho_size_guard():
     G = build_group("D202")
     with pytest.raises(SearchBudgetExceeded):
         rho(G)
+    # exp(D202) = 202 divides no proper divisor, so no equal partition can
+    # exist whatever the order; E(3,5) has the candidate order 3 (2 | 242).
+    assert equal_partition_exists(G) == (False, None)
     with pytest.raises(SearchBudgetExceeded):
-        equal_partition_exists(G)
+        equal_partition_exists(build_group("E(3,5)"))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ecov import groups
 from ecov.census import catalog
 from ecov.errors import (
     BadPrimePower,
@@ -360,7 +361,7 @@ def _intercalate_swaps(T):
 _NON_LATIN_WITH_INVERSES = [[0, 1, 2, 3], [1, 2, 1, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
 
 
-def test_rejections_match_the_checks_in_order():
+def _rejection_fixtures() -> list[np.ndarray]:
     fixtures = [
         [[0, 1, 2, 3], [1, 0, 1, 3], [2, 3, 0, 1], [3, 2, 1, 0]],
         [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
@@ -373,8 +374,12 @@ def test_rejections_match_the_checks_in_order():
     for entry in catalog(8):
         T = build_group(entry.spec).table.astype(np.int64)
         tables += list(_single_cell_changes(T)) + list(_intercalate_swaps(T))
+    return tables
+
+
+def test_rejections_match_the_checks_in_order():
     codes = set()
-    for T in tables:
+    for T in _rejection_fixtures():
         report = verify_table(T)
         code, witness = _reference_verdict(T)
         assert (report.code, report.witness) == (code, witness), T.tolist()
@@ -382,6 +387,29 @@ def test_rejections_match_the_checks_in_order():
             _assert_fails_at(T, report.witness)
         codes.add(code)
     assert {"NoIdentity", "NotLatinSquare", "NoInverse", "NotAssociative"} <= codes
+
+
+def test_multi_block_light_path_names_the_same_rejections(monkeypatch):
+    # With 16-cell blocks the order-8 tables take two rows a block and the
+    # order-1024 one a row a block, so a failure past the first block must
+    # still yield the first witness, the one a single block finds.
+    tables = _rejection_fixtures() + [_intercalate_cyclic(1024)]
+    expected = [_reference_verdict(T) for T in tables]
+    monkeypatch.setattr(groups, "_LIGHT_BLOCK_CELLS", 16)
+    for T, verdict in zip(tables, expected):
+        report = verify_table(T)
+        assert (report.code, report.witness) == verdict, T.tolist()
+    assert any(code == "NotAssociative" and witness[0] >= 2 for code, witness in expected)
+
+
+def test_build_scans_for_inverses_once(monkeypatch):
+    scans = []
+    right_inverses = groups._right_inverses
+    monkeypatch.setattr(groups, "_right_inverses", lambda T: scans.append(T.shape) or right_inverses(T))
+    G = build_group("A5")
+    assert scans == [(60, 60)]
+    T = G.table
+    assert all(T[x, G.inverse[x]] == 0 == T[G.inverse[x], x] for x in range(G.order))
 
 
 def test_non_latin_table_with_inverses_is_named_not_latin():

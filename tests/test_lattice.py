@@ -10,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from ecov import lattice
 from ecov.analysis import is_abelian
 from ecov.census import catalog
 from ecov.errors import LatticeLimitExceeded
@@ -343,3 +344,12 @@ def test_lattice_json_export(grp):
         "class": 0,
     }
     assert all(set(row) == {"order", "members", "maximal", "normal", "class"} for row in doc)
+
+
+def test_conjugation_maps_are_built_once_per_group():
+    G = build_group("S4")
+    maps = lattice._conjugation_maps(G)
+    assert maps == [[G.conjugate(g, x) for x in range(G.order)] for g in G.generators]
+    element_conjugacy_classes(G)
+    normal_subgroups_direct(G)
+    assert lattice._conjugation_maps(G) is maps
