@@ -234,8 +234,6 @@ class GroupTable:
     ``table`` is the only form of the group: scalar reads go to the array,
     and loops that need plain lists build them from it for one call.
     ``generators`` must generate it: the center and conjugation maps use them alone.
-    ``inverse`` is computed from the table unless a caller that verified the
-    table passes the inverses it found.
     """
 
     __slots__ = (
@@ -251,17 +249,11 @@ class GroupTable:
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        table: np.ndarray,
-        meta: ConstructionMeta,
-        generators: tuple[int, ...],
-        inverse: list[int] | tuple[int, ...] | None = None,
-    ):
+    def __init__(self, table: np.ndarray, meta: ConstructionMeta, generators: tuple[int, ...]):
         self.order = int(table.shape[0])
         table.setflags(write=False)
         self.table = table
-        self.inverse = tuple(_right_inverses(table).tolist()) if inverse is None else tuple(inverse)
+        self.inverse = tuple(_right_inverses(table).tolist())
         self.meta = meta
         self.generators = tuple(int(g) for g in generators)
         self._orders: list[int] | None = None
@@ -432,38 +424,34 @@ def verify_table(table, generators: tuple[int, ...] | None = None) -> TableRepor
     check fails exactly where that zero is no left inverse; every rejected
     table thus gets the code and witness the checks give in that order.
     """
-    return _verify_with_inverses(np.asarray(table), generators)[0]
-
-
-def _verify_with_inverses(T: np.ndarray, generators) -> tuple[TableReport, np.ndarray | None]:
-    """``verify_table``'s report, and the inverse array of a table that passes."""
+    T = np.asarray(table)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        return TableReport(False, "MalformedTable", (T.shape,)), None
+        return TableReport(False, "MalformedTable", (T.shape,))
     n = int(T.shape[0])
     if n == 0:
-        return TableReport(False, "MalformedTable", ((0, 0),)), None
+        return TableReport(False, "MalformedTable", ((0, 0),))
     if T.min() < 0 or T.max() >= n:
-        return TableReport(False, "MalformedTable", (int(T.min()), int(T.max()))), None
+        return TableReport(False, "MalformedTable", (int(T.min()), int(T.max())))
     idx = np.arange(n)
     if not (np.array_equal(T[0], idx) and np.array_equal(T[:, 0], idx)):
-        return TableReport(False, "NoIdentity", (0,)), None
+        return TableReport(False, "NoIdentity", (0,))
     right_inv = _right_inverses(T)
     two_sided = (T[idx, right_inv] == 0) & (T[right_inv, idx] == 0)
     witness = None
     if two_sided.all():
         witness = _light_witness(T, _generating_set(T, generators or ()))
         if witness is None:
-            return TableReport(True, method="light"), right_inv
+            return TableReport(True, method="light")
 
     rows_ok = (np.sort(T, axis=1) == idx).all(axis=1)
     if not rows_ok.all():
-        return TableReport(False, "NotLatinSquare", ("row", int(rows_ok.argmin()))), None
+        return TableReport(False, "NotLatinSquare", ("row", int(rows_ok.argmin())))
     cols_ok = (np.sort(T, axis=0) == idx[:, None]).all(axis=0)
     if not cols_ok.all():
-        return TableReport(False, "NotLatinSquare", ("column", int(cols_ok.argmin()))), None
+        return TableReport(False, "NotLatinSquare", ("column", int(cols_ok.argmin())))
     if not two_sided.all():
-        return TableReport(False, "NoInverse", (int(two_sided.argmin()),)), None
-    return TableReport(False, "NotAssociative", witness), None
+        return TableReport(False, "NoInverse", (int(two_sided.argmin()),))
+    return TableReport(False, "NotAssociative", witness)
 
 
 def _index_dtype(n: int):
@@ -474,13 +462,13 @@ def _make_group(
     table: np.ndarray, meta: ConstructionMeta, generators: tuple[int, ...]
 ) -> GroupTable:
     table = np.ascontiguousarray(table, dtype=_index_dtype(table.shape[0]))
-    report, inverse = _verify_with_inverses(table, generators)
+    report = verify_table(table, generators=generators)
     if not report.ok:  # pragma: no cover - builders are unit-tested
         raise ConstructionError(
             f"internal error: built table for {meta.name} fails verification: "
             f"{report.code} {report.witness}"
         )
-    return GroupTable(table, meta, generators, inverse.tolist())
+    return GroupTable(table, meta, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +665,13 @@ def _build_cayley_file(path: str, spec_text: str) -> GroupTable:
         table = np.array(rows, dtype=np.int64)
     except ValueError:
         raise SpecError(f"{path}: ragged or non-integer table") from None
-    report, inverse = _verify_with_inverses(table, None)
+    report = verify_table(table)
     if not report.ok:
         raise InvalidRawTable(report.code, report.witness)
     table = table.astype(_index_dtype(n))
     gens = _generating_set(table)
     meta = ConstructionMeta("cayley", spec_text, (n,))
-    return GroupTable(np.ascontiguousarray(table), meta, gens, inverse.tolist())
+    return GroupTable(np.ascontiguousarray(table), meta, gens)
 
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
@@ -763,7 +751,7 @@ def _build_w() -> GroupTable:
         action.append(tuple((mult * h) % 5 for h in range(5)))
     G = semidirect_product(H, K, action)
     meta = ConstructionMeta("w", "W", (), G.meta.children, action=G.meta.action)
-    return GroupTable(G.table, meta, G.generators, G.inverse)
+    return GroupTable(G.table, meta, G.generators)
 
 
 def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
@@ -834,7 +822,7 @@ def build_group(spec: GroupSpec | str, max_order: int = MAX_ORDER) -> GroupTable
             built = direct_product(built, build_group(child, max_order))
         if len(spec.children) > 2:
             meta = ConstructionMeta("product", spec.text(), (), built.meta.children)
-            built = GroupTable(built.table, meta, built.generators, built.inverse)
+            built = GroupTable(built.table, meta, built.generators)
         return built
     if f == "cayley":
         G = _build_cayley_file(spec.path, spec.text())

@@ -402,14 +402,19 @@ def test_multi_block_light_path_names_the_same_rejections(monkeypatch):
     assert any(code == "NotAssociative" and witness[0] >= 2 for code, witness in expected)
 
 
-def test_build_scans_for_inverses_once(monkeypatch):
-    scans = []
-    right_inverses = groups._right_inverses
-    monkeypatch.setattr(groups, "_right_inverses", lambda T: scans.append(T.shape) or right_inverses(T))
+def test_builds_verify_through_verify_table(monkeypatch, tmp_path):
+    # Built and raw tables both go through the public check, so whatever
+    # wraps or counts verify_table sees every verification.
+    calls = []
+    verify = groups.verify_table
+    monkeypatch.setattr(groups, "verify_table", lambda T, **kw: calls.append(len(T)) or verify(T, **kw))
     G = build_group("A5")
-    assert scans == [(60, 60)]
-    T = G.table
-    assert all(T[x, G.inverse[x]] == 0 == T[G.inverse[x], x] for x in range(G.order))
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps({"order": 60, "table": G.table.tolist()}), encoding="utf-8")
+    H = build_group(f"cayley:{path}")
+    assert calls == [60, 60]
+    T = H.table
+    assert all(T[x, H.inverse[x]] == 0 == T[H.inverse[x], x] for x in range(H.order))
 
 
 def test_non_latin_table_with_inverses_is_named_not_latin():
