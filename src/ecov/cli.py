@@ -29,7 +29,7 @@ from .errors import (
     RulesInconclusive,
     SpecError,
 )
-from .groups import build_group
+from .groups import _read_user_file, build_group
 from .lattice import get_lattice, lattice_to_json, maximal_subgroups, normal_subgroups
 
 __all__ = ["main"]
@@ -168,11 +168,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        with open(args.certificate, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read certificate {args.certificate}: {exc}") from None
+    doc = _read_user_file(args.certificate, "certificate", json.load)
     if not isinstance(doc, dict) or not isinstance(doc.get("group"), str):
         raise SpecError("certificate JSON needs a 'group' spec string")
     cert = Certificate.from_json(doc)

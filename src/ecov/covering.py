@@ -43,7 +43,7 @@ from .errors import (
     SearchBudgetExceeded,
     SpecError,
 )
-from .groups import GroupTable, _is_prime, exponent, quotient
+from .groups import GroupTable, _is_prime, _read_user_file, exponent, quotient
 from .lattice import (
     FULL_LATTICE_LIMIT,
     Subgroup,
@@ -485,11 +485,7 @@ def decide(
 
 def load_hints(path: str) -> dict:
     """Load and validate a hint file for one large group."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise HintFileError(f"cannot read hint file {path}: {exc}") from None
+    doc = _read_user_file(path, "hint file", json.load, HintFileError)
     if not isinstance(doc, dict):
         raise HintFileError(f"{path}: hint file must be a JSON object")
     for key, typ in (("name", str), ("order", int), ("exponent", int), ("maximal_orders", list)):

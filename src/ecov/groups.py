@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,42 +80,14 @@ class GroupSpec:
     path: str | None = None
 
     def text(self) -> str:
-        f, p = self.family, self.params
-        if f == "cyclic":
-            return f"C{p[0]}"
-        if f == "dihedral":
-            return f"D{p[0]}"
-        if f == "dicyclic":
-            return f"Dic{p[0]}"
-        if f == "symmetric":
-            return f"S{p[0]}"
-        if f == "alternating":
-            return f"A{p[0]}"
-        if f == "elementary":
-            return f"E({p[0]},{p[1]})"
-        if f == "psl2":
-            return f"PSL(2,{p[0]})"
-        if f == "mathieu":
-            return f"M{p[0]}"
-        if f == "w":
-            return "W"
+        f = self.family
+        if f in _FAMILIES:
+            return _FAMILIES[f].template.format(*self.params)
         if f == "product":
             return "x".join(c.text() for c in self.children)
         if f in ("cayley", "perm"):
             return f"{f}:{self.path}"
         raise UnknownFamily(f"unknown family {f!r}")  # pragma: no cover
-
-
-_TOKEN_PATTERNS: tuple[tuple[re.Pattern, str], ...] = (
-    (re.compile(r"^C(\d+)$"), "cyclic"),
-    (re.compile(r"^D(\d+)$"), "dihedral"),
-    (re.compile(r"^DIC(\d+)$"), "dicyclic"),
-    (re.compile(r"^S(\d+)$"), "symmetric"),
-    (re.compile(r"^A(\d+)$"), "alternating"),
-    (re.compile(r"^E\((\d+),(\d+)\)$"), "elementary"),
-    (re.compile(r"^PSL\(2,(\d+)\)$"), "psl2"),
-    (re.compile(r"^M(11|12)$"), "mathieu"),
-)
 
 
 def _parse_token(token: str) -> GroupSpec:
@@ -123,13 +96,14 @@ def _parse_token(token: str) -> GroupSpec:
         raise SpecError("empty group spec token")
     if squeezed == "Q8":
         return GroupSpec("dicyclic", (2,))
-    if squeezed == "W":
-        return GroupSpec("w")
-    for pattern, family in _TOKEN_PATTERNS:
-        m = pattern.match(squeezed)
+    for family, row in _FAMILIES.items():
+        m = row.pattern.match(squeezed)
         if not m:
             continue
-        params = tuple(int(x) for x in m.groups())
+        try:
+            params = tuple(int(x) for x in m.groups())
+        except ValueError:  # past Python's int-from-str digit limit
+            raise MalformedParameter(f"{family} parameter has too many digits") from None
         if family == "cyclic" and params[0] < 1:
             raise MalformedParameter("C<n> needs n >= 1")
         if family == "dihedral":
@@ -182,27 +156,9 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 def spec_order(spec: GroupSpec) -> int | None:
     """Predicted order, or None for file-backed specs."""
-    f, p = spec.family, spec.params
-    if f == "cyclic":
-        return p[0]
-    if f == "dihedral":
-        return p[0]
-    if f == "dicyclic":
-        return 4 * p[0]
-    if f == "symmetric":
-        return math.factorial(p[0])
-    if f == "alternating":
-        return max(1, math.factorial(p[0]) // 2)
-    if f == "elementary":
-        return p[0] ** p[1]
-    if f == "psl2":
-        q = p[0]
-        return q * (q * q - 1) // math.gcd(2, q - 1)
-    if f == "mathieu":
-        return {11: 7920, 12: 95040}[p[0]]
-    if f == "w":
-        return 20
-    if f == "product":
+    if spec.family in _FAMILIES:
+        return _FAMILIES[spec.family].order(*spec.params)
+    if spec.family == "product":
         total = 1
         for child in spec.children:
             sub = spec_order(child)
@@ -480,8 +436,8 @@ def _cyclic_table(n: int) -> np.ndarray:
     return (idx[:, None] + idx[None, :]) % n
 
 
-def _build_cyclic(n: int, name: str | None = None) -> GroupTable:
-    meta = ConstructionMeta("cyclic", name or f"C{n}", (n,))
+def _build_cyclic(n: int) -> GroupTable:
+    meta = ConstructionMeta("cyclic", f"C{n}", (n,))
     gens = (1,) if n > 1 else ()
     return _make_group(_cyclic_table(n), meta, gens)
 
@@ -534,7 +490,7 @@ def _close_and_tabulate(
     kind: str,
     name: str,
     params: tuple = (),
-    max_order: int | None = MAX_ORDER,
+    max_order: int | None = None,
 ) -> GroupTable:
     """Close generators given as image sequences, and tabulate the group.
 
@@ -587,7 +543,7 @@ def _build_symmetric(n: int) -> GroupTable:
     gens = [[1, 0] + list(range(2, n))]
     if n > 2:
         gens.append(list(range(1, n)) + [0])
-    return _close_and_tabulate(gens, "symmetric", f"S{n}", (n,), max_order=None)
+    return _close_and_tabulate(gens, "symmetric", f"S{n}", (n,))
 
 
 def _build_alternating(n: int) -> GroupTable:
@@ -599,11 +555,15 @@ def _build_alternating(n: int) -> GroupTable:
             gens.append(list(range(1, n)) + [0])
         else:
             gens.append([0] + list(range(2, n)) + [1])
-    return _close_and_tabulate(gens, "alternating", f"A{n}", (n,), max_order=None)
+    return _close_and_tabulate(gens, "alternating", f"A{n}", (n,))
 
 
 def _build_trivial(name: str, kind: str, params: tuple = ()) -> GroupTable:
     return _make_group(_cyclic_table(1), ConstructionMeta(kind, name, params), ())
+
+
+def _psl2_order(q: int) -> int:
+    return q * (q * q - 1) // math.gcd(2, q - 1)
 
 
 def _build_psl2(q: int) -> GroupTable:
@@ -626,35 +586,44 @@ def _build_psl2(q: int) -> GroupTable:
         basis = pow(F.p, i)  # the field element t^i
         gens.append(moebius(1, basis, 0, 1))
     gens.append(moebius(0, F.neg[1], 1, 0))
-    G = _close_and_tabulate(gens, "psl2", f"PSL(2,{q})", (q,), max_order=None)
-    expected = q * (q * q - 1) // math.gcd(2, q - 1)
+    G = _close_and_tabulate(gens, "psl2", f"PSL(2,{q})", (q,))
+    expected = _psl2_order(q)
     if G.order != expected:  # pragma: no cover
         raise ConstructionError(f"PSL(2,{q}) closure has order {G.order}, expected {expected}")
     return G
 
 
-def _load_permutation_file(path: str) -> list[list[int]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
+def _read_user_file(path: str, what: str, load=None, error: type[SpecError] = SpecError):
+    """The text of a UTF-8 file, or ``load(fh)`` of it (``json.load``).
+
+    Failing to open, decode or load it (``OSError``, or ``ValueError``,
+    which covers ``UnicodeDecodeError`` and ``JSONDecodeError``) raises
+    ``error`` naming ``what`` was read, so bad input exits as an input error.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read() if load is None else load(fh)
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def _load_permutation_file(path: str) -> list[tuple[int, ...]]:
+    lines = [line.strip() for line in _read_user_file(path, "permutation file").split("\n")]
     texts = [line for line in lines if line and not line.startswith("#")]
     if not texts:
         raise SpecError(f"no generators found in {path}")
-    return [list(parse_cycles(text).images) for text in texts]
+    return [parse_cycles(text) for text in texts]
 
 
-def _build_mathieu(n: int, max_order: int | None) -> GroupTable:
+def _build_mathieu(n: int) -> GroupTable:
     data = resources.files("ecov").joinpath("data").joinpath(f"m{n}_generators.txt")
     with resources.as_file(data) as path:
         gens = _load_permutation_file(str(path))
-    return _close_and_tabulate(gens, "mathieu", f"M{n}", (n,), max_order=max_order)
+    return _close_and_tabulate(gens, "mathieu", f"M{n}", (n,))
 
 
 def _build_cayley_file(path: str, spec_text: str) -> GroupTable:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read Cayley table file {path}: {exc}") from None
+    payload = _read_user_file(path, "Cayley table file", json.load)
     if not isinstance(payload, dict) or "order" not in payload or "table" not in payload:
         raise SpecError(f"{path}: expected an object with 'order' and 'table'")
     n = payload["order"]
@@ -788,34 +757,48 @@ def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
     return Q, proj
 
 
+class _Family(NamedTuple):
+    """One family of the spec language that a single token names."""
+
+    pattern: re.Pattern  # matches the squeezed, upper-cased token; its captures are the parameters
+    template: str  # canonical text, filled with the parameters
+    order: Callable[..., int]
+    build: Callable[..., GroupTable]
+
+
+_FAMILIES: dict[str, _Family] = {
+    "cyclic": _Family(re.compile(r"^C(\d+)$"), "C{}", lambda n: n, _build_cyclic),
+    "dihedral": _Family(re.compile(r"^D(\d+)$"), "D{}", lambda m: m, _build_dihedral),
+    "dicyclic": _Family(re.compile(r"^DIC(\d+)$"), "Dic{}", lambda n: 4 * n, _build_dicyclic),
+    "symmetric": _Family(re.compile(r"^S(\d+)$"), "S{}", math.factorial, _build_symmetric),
+    "alternating": _Family(
+        re.compile(r"^A(\d+)$"), "A{}", lambda n: max(1, math.factorial(n) // 2), _build_alternating
+    ),
+    "elementary": _Family(
+        re.compile(r"^E\((\d+),(\d+)\)$"), "E({},{})", lambda p, k: p**k, _build_elementary
+    ),
+    "psl2": _Family(re.compile(r"^PSL\(2,(\d+)\)$"), "PSL(2,{})", _psl2_order, _build_psl2),
+    "mathieu": _Family(
+        re.compile(r"^M(11|12)$"), "M{}", lambda n: {11: 7920, 12: 95040}[n], _build_mathieu
+    ),
+    "w": _Family(re.compile(r"^W$"), "W", lambda: 20, _build_w),
+}
+
+
 def build_group(spec: GroupSpec | str, max_order: int = MAX_ORDER) -> GroupTable:
     """Build the verified table for a spec (object or mini-language text)."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     predicted = spec_order(spec)
     if predicted is not None and predicted > max_order:
-        raise OrderLimitExceeded(
-            f"{spec.text()} has order {predicted}, above the limit {max_order}"
-        )
+        try:
+            shown = str(predicted)
+        except ValueError:  # past Python's int-to-str digit limit
+            shown = f"at least 2^{predicted.bit_length() - 1}"
+        raise OrderLimitExceeded(f"{spec.text()} has order {shown}, above the limit {max_order}")
     f = spec.family
-    if f == "cyclic":
-        return _build_cyclic(spec.params[0])
-    if f == "dihedral":
-        return _build_dihedral(spec.params[0])
-    if f == "dicyclic":
-        return _build_dicyclic(spec.params[0])
-    if f == "symmetric":
-        return _build_symmetric(spec.params[0])
-    if f == "alternating":
-        return _build_alternating(spec.params[0])
-    if f == "elementary":
-        return _build_elementary(*spec.params)
-    if f == "psl2":
-        return _build_psl2(spec.params[0])
-    if f == "mathieu":
-        return _build_mathieu(spec.params[0], max_order)
-    if f == "w":
-        return _build_w()
+    if f in _FAMILIES:
+        return _FAMILIES[f].build(*spec.params)
     if f == "product":
         built = build_group(spec.children[0], max_order)
         for child in spec.children[1:]:

@@ -1,7 +1,7 @@
-"""Cycle-notation parsing and formatting of permutations on 0-based points.
+"""Cycle-notation parsing of permutations on 0-based points.
 
-Cycle notation in files and messages is 1-based, matching the usual
-convention for permutation group data; in-memory points are 0-based.
+Cycle notation in files is 1-based, matching the usual convention for
+permutation group data; in-memory points are 0-based.
 """
 from __future__ import annotations
 
@@ -9,39 +9,17 @@ import re
 
 from .errors import CycleNotationError
 
-__all__ = [
-    "Permutation",
-    "parse_cycles",
-    "format_cycles",
-]
+__all__ = ["parse_cycles"]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-class Permutation:
-    """A bijection of {0, ..., degree-1}, stored as a tuple of images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(int(x) for x in images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection: {images!r}")
-        self.images = images
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({format_cycles(self)!r})"
-
-
-def parse_cycles(text: str, degree: int | None = None) -> Permutation:
-    """Parse 1-based cycle notation like ``(1,2,3)(4,5)``.
+def parse_cycles(text: str) -> tuple[int, ...]:
+    """Parse 1-based cycle notation like ``(1,2,3)(4,5)`` into its images.
 
     Whitespace between or inside cycles is ignored.  ``()`` denotes the
-    identity.  The degree defaults to the largest point mentioned.
+    identity.  The degree is the largest point mentioned.  No point may
+    repeat, inside a cycle or across cycles, so the images are a bijection.
     """
     stripped = text.strip()
     if not stripped:
@@ -70,10 +48,6 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             raise CycleNotationError(f"repeated point inside a cycle in {text!r}")
         cycles.append(points)
         top = max(top, max(points) + 1)
-    if degree is not None:
-        if degree < top:
-            raise CycleNotationError(f"degree {degree} too small for {text!r}")
-        top = degree
     images = list(range(top))
     seen: set[int] = set()
     for cyc in cycles:
@@ -83,23 +57,4 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             seen.add(p)
         for i, p in enumerate(cyc):
             images[p] = cyc[(i + 1) % len(cyc)]
-    return Permutation(images)
-
-
-def format_cycles(perm: Permutation) -> str:
-    """Render in 1-based cycle notation; the identity renders as ``()``."""
-    seen = [False] * perm.degree
-    parts = []
-    for start in range(perm.degree):
-        if seen[start] or perm.images[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm.images[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm.images[nxt]
-        parts.append("(" + ",".join(str(p + 1) for p in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return tuple(images)

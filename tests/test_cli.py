@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -318,6 +319,67 @@ def test_usage_and_spec_errors_exit_2(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr
+
+
+def _unreadable(tmp_path, kind):
+    """A path that cannot be read as UTF-8 text: missing, a directory, or Latin-1 bytes."""
+    if kind == "missing":
+        return str(tmp_path / "nonexistent.txt")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize(
+    "command,what",
+    [
+        (["describe", "perm:{}"], "permutation file"),
+        (["describe", "cayley:{}"], "Cayley table file"),
+        (["verify", "{}"], "certificate"),
+        (["hints-check", "{}"], "hint file"),
+    ],
+    ids=["perm", "cayley", "verify", "hints-check"],
+)
+def test_unreadable_input_files_exit_2(tmp_path, capsys, command, what, kind):
+    path = _unreadable(tmp_path, kind)
+    assert cli.main([arg.format(path) for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {what} {path}: ")
+
+
+def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys):
+    shutil.copy(f"{HINTS_DIR}/m11.json", tmp_path)
+    (tmp_path / "bad.json").write_bytes(b'{"name": "caf\xe9"}\n')
+    assert cli.main(["census", "--max-order", "1", "--hints", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "M11,7920,1320,false,No,HintC1,0"
+    assert err.startswith(f"error: bad.json: cannot read hint file {tmp_path / 'bad.json'}: ")
+
+
+@pytest.mark.parametrize(
+    "args,code,message",
+    [
+        # Parameters and orders past Python's 4,300-digit int/str limit.
+        (["describe", "C" + "9" * 5000], 2, "error: cyclic parameter has too many digits\n"),
+        (["describe", "S2000"], 3, "resource limit: S2000 has order at least 2^19052, above the limit 10000\n"),
+        (["check", "E(2,20000)"], 3, "resource limit: E(2,20000) has order at least 2^20000, above the limit 10000\n"),
+        # Orders that print keep their decimal form.
+        (["describe", "M12"], 3, "resource limit: M12 has order 95040, above the limit 10000\n"),
+        (
+            ["check", "C99999999999999999999"],
+            3,
+            "resource limit: C99999999999999999999 has order 99999999999999999999, above the limit 10000\n",
+        ),
+    ],
+    ids=["C-5000-digits", "S2000", "E(2,20000)", "M12", "C-20-digits"],
+)
+def test_huge_parameters_exit_2_or_3(capsys, args, code, message):
+    assert cli.main(args) == code
+    assert capsys.readouterr() == ("", message)
 
 
 def test_lattice_limit_exit_3_and_flag_positions():

@@ -25,6 +25,7 @@ from ecov.errors import (
 from ecov.groups import (
     _generating_set,
     _light_witness,
+    GroupSpec,
     build_group,
     direct_product,
     element_order,
@@ -36,35 +37,52 @@ from ecov.groups import (
     verify_table,
 )
 from ecov.lattice import normal_subgroups_direct
-from ecov.perms import format_cycles, parse_cycles
+from ecov.perms import parse_cycles
 
 # ---------------------------------------------------------------------------
 # Parsing
 
 
-@pytest.mark.parametrize(
-    "text,family,order",
-    [
-        ("C12", "cyclic", 12),
-        ("c12", "cyclic", 12),
-        ("D12", "dihedral", 12),
-        (" d 8 ", "dihedral", 8),
-        ("Dic3", "dicyclic", 12),
-        ("Q8", "dicyclic", 8),
-        ("S4", "symmetric", 24),
-        ("A5", "alternating", 60),
-        ("E(2,3)", "elementary", 8),
-        ("PSL(2,7)", "psl2", 168),
-        ("psl(2, 9)", "psl2", 360),
-        ("M11", "mathieu", 7920),
-        ("M12", "mathieu", 95040),
-        ("W", "w", 20),
-    ],
-)
-def test_parse_single_tokens(text, family, order):
+_SINGLE_TOKENS = [
+    ("C12", "cyclic", 12),
+    ("c12", "cyclic", 12),
+    ("C1", "cyclic", 1),
+    ("D12", "dihedral", 12),
+    (" d 8 ", "dihedral", 8),
+    ("Dic3", "dicyclic", 12),
+    ("dIc 1", "dicyclic", 4),
+    ("Q8", "dicyclic", 8),
+    ("S4", "symmetric", 24),
+    ("s1", "symmetric", 1),
+    ("S8", "symmetric", 40320),
+    ("A5", "alternating", 60),
+    ("A2", "alternating", 1),
+    ("E(2,3)", "elementary", 8),
+    ("e( 3 , 2 )", "elementary", 9),
+    ("PSL(2,7)", "psl2", 168),
+    ("psl(2, 9)", "psl2", 360),
+    ("PSL(2,4)", "psl2", 60),
+    ("M11", "mathieu", 7920),
+    ("M12", "mathieu", 95040),
+    ("W", "w", 20),
+    ("w", "w", 20),
+]
+
+
+@pytest.mark.parametrize("text,family,order", _SINGLE_TOKENS)
+def test_parse_single_tokens(grp, text, family, order):
+    assert {case[1] for case in _SINGLE_TOKENS} == set(groups._FAMILIES)
     spec = parse_group_spec(text)
     assert spec.family == family
     assert spec_order(spec) == order
+    assert parse_group_spec(spec.text()) == spec
+    if order <= groups.MAX_ORDER:
+        assert grp(spec.text()).order == order
+    else:
+        with pytest.raises(OrderLimitExceeded):
+            build_group(spec)
+    with pytest.raises(UnknownFamily):
+        build_group(GroupSpec("zork"))
 
 
 def test_parse_products_and_roundtrip():
@@ -107,6 +125,9 @@ def test_parse_file_specs():
         ("Zork9", UnknownFamily),
         ("", SpecError),
         ("cayley:", MalformedParameter),
+        ("C" + "9" * 5000, MalformedParameter),
+        ("E(2," + "1" * 4301 + ")", MalformedParameter),
+        ("C2xDic" + "7" * 4400, MalformedParameter),
     ],
 )
 def test_parse_errors(text, exc):
@@ -440,10 +461,8 @@ def test_verify_table_temporaries_stay_small():
 
 
 def test_cycle_parsing_roundtrip():
-    p = parse_cycles("(1,2,3)(4,5)")
-    assert p.images == (1, 2, 0, 4, 3)
-    assert format_cycles(p) == "(1,2,3)(4,5)"
-    assert parse_cycles("()").images == ()
+    assert parse_cycles("(1,2,3)(4,5)") == (1, 2, 0, 4, 3)
+    assert parse_cycles("()") == ()
 
 
 @pytest.mark.parametrize("text", ["(1,2", "(1,2)(2,3)", "(0,1)", "(1,x)", "1,2"])
@@ -523,7 +542,7 @@ def test_permutation_file_numbering_matches_reference_closure(tmp_path, text):
     path = tmp_path / "gens.txt"
     path.write_text(text, encoding="utf-8")
     G = build_group(f"perm:{path}")
-    table, gens = _reference_closure([parse_cycles(line).images for line in text.splitlines()])
+    table, gens = _reference_closure([parse_cycles(line) for line in text.splitlines()])
     assert np.array_equal(G.table, table)
     assert G.generators == gens
 
@@ -556,7 +575,7 @@ def test_psl27_from_permutation_file_matches_moebius_build(grp, tmp_path):
 def test_mathieu_generator_closures():
     from ecov.groups import _build_mathieu  # closure smoke without tabulating M12
 
-    assert _build_mathieu(11, max_order=10000).order == 7920
+    assert _build_mathieu(11).order == 7920
 
 
 # ---------------------------------------------------------------------------
