@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedForOne
-from .groups import GroupTable, exponent, quotient
+from .groups import GroupTable, exponent, factorize, quotient
 from .lattice import Subgroup, SubgroupLattice, element_conjugacy_classes, normal_closure
 
 __all__ = [
@@ -34,22 +34,6 @@ __all__ = [
     "elementary_abelian_quotient",
     "index_p_subgroups",
 ]
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: multiplicity}."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def smallest_prime_divisor(n: int) -> int:

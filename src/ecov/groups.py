@@ -60,10 +60,26 @@ _LIGHT_BLOCK_CELLS = 1_000_000
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for d in range(2, int(n**0.5) + 1):
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return False
     return True
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization as {prime: multiplicity}."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +246,42 @@ class GroupTable:
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            # Power every non-identity element at once; x holds active^k.
+            # |x| is the product of its p-parts over the primes p of n = |G|.
+            # For p^a exactly dividing n, y = x^(n/p^a) has order exactly the
+            # p-part of |x|: p^k for the least k <= a with y^(p^k) = 1.
             T = self.table
-            orders = np.ones(self.order, dtype=np.int64)
-            active = x = np.arange(1, self.order)
-            k = 1
-            while active.size:
-                x = T[x, active]
-                k += 1
-                done = x == 0
-                if done.any():
-                    orders[active[done]] = k
-                    keep = ~done
-                    active, x = active[keep], x[keep]
+            n = self.order
+            orders = np.ones(n, dtype=np.int64)
+            x = np.arange(n)
+            for p, a in factorize(n).items():
+                y = _power(T, x, n // p**a)
+                live = np.flatnonzero(y)
+                y = y[live]
+                for _ in range(a):
+                    if not live.size:
+                        break
+                    orders[live] *= p
+                    y = _power(T, y, p)
+                    keep = y != 0
+                    live, y = live[keep], y[keep]
             self._orders = orders.tolist()
         return self._orders
 
     def __repr__(self) -> str:
         return f"GroupTable({self.meta.name!r}, order={self.order})"
+
+
+def _power(T: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """x^m for every entry of x, by repeated squaring: O(log m) gathers."""
+    square = T.diagonal()  # squaring is a one-index gather through the table's diagonal
+    result = None
+    while True:
+        if m & 1:
+            result = x if result is None else T[result, x]
+        m >>= 1
+        if not m:
+            return np.zeros_like(x) if result is None else result
+        x = square[x]
 
 
 def element_order(G: GroupTable, g: int) -> int:

@@ -367,6 +367,8 @@ def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys
         (["describe", "C" + "9" * 5000], 2, "error: cyclic parameter has too many digits\n"),
         (["describe", "S2000"], 3, "resource limit: S2000 has order at least 2^19052, above the limit 10000\n"),
         (["check", "E(2,20000)"], 3, "resource limit: E(2,20000) has order at least 2^20000, above the limit 10000\n"),
+        # A prime test past float range; 10^401 + 1 is divisible by 11.
+        (["describe", f"E({10**401 + 1},1)"], 2, f"error: E(p,k) needs prime p, got {10**401 + 1}\n"),
         # Orders that print keep their decimal form.
         (["describe", "M12"], 3, "resource limit: M12 has order 95040, above the limit 10000\n"),
         (
@@ -375,7 +377,7 @@ def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys
             "resource limit: C99999999999999999999 has order 99999999999999999999, above the limit 10000\n",
         ),
     ],
-    ids=["C-5000-digits", "S2000", "E(2,20000)", "M12", "C-20-digits"],
+    ids=["C-5000-digits", "S2000", "E(2,20000)", "E-402-digit-p", "M12", "C-20-digits"],
 )
 def test_huge_parameters_exit_2_or_3(capsys, args, code, message):
     assert cli.main(args) == code

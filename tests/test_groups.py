@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ecov import groups
+from ecov.analysis import is_cyclic
 from ecov.census import catalog
 from ecov.errors import (
     BadPrimePower,
@@ -177,7 +180,17 @@ def test_psl_2_8_order_and_exponent(grp):
     assert exponent(G) == 126
 
 
-@pytest.mark.parametrize("spec", ["C1", "C30", "D208", "Q8", "A5", "E(3,3)", "C2xD10"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "C1", "C30", "D208", "Q8", "A5", "E(3,3)", "C2xD10",
+        # three or more primes
+        "C210", "C4xC60", "S5",
+        # 2^4 divides the order but no element has a 2-part above 2
+        "E(2,4)xC9",
+        "Dic15", "PSL(2,8)",
+    ],
+)
 def test_element_orders_match_powering_loop(grp, spec):
     G = grp(spec)
     T = G.table.tolist()
@@ -188,6 +201,37 @@ def test_element_orders_match_powering_loop(grp, spec):
             x, k = T[x][g], k + 1
         expected.append(k)
     assert G.element_orders() == expected
+
+
+def test_power_matches_repeated_multiplication(grp):
+    G = grp("D12")
+    T = G.table.tolist()
+    x = np.arange(G.order)
+    expected = [0] * G.order
+    for m in range(G.order + 1):
+        assert groups._power(G.table, x, m).tolist() == expected
+        expected = [T[e][g] for g, e in enumerate(expected)]
+
+
+# Elements of each order in M11 and A7, from the ATLAS of Finite Groups.
+_ORDER_COUNTS = {
+    "M11": {1: 1, 2: 165, 3: 440, 4: 990, 5: 1584, 6: 1320, 8: 1980, 11: 1440},
+    "A7": {1: 1, 2: 105, 3: 350, 4: 630, 5: 504, 6: 210, 7: 720},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_ORDER_COUNTS))
+def test_element_order_counts_match_atlas(grp, spec):
+    assert Counter(grp(spec).element_orders()) == _ORDER_COUNTS[spec]
+
+
+@pytest.mark.parametrize("n", [1, 2, 210, 1510])
+def test_cyclic_group_has_phi_d_elements_of_each_order_d(grp, n):
+    G = grp(f"C{n}")
+    phi = {d: sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(1, n + 1) if n % d == 0}
+    assert Counter(G.element_orders()) == phi
+    assert exponent(G) == n
+    assert is_cyclic(G)
 
 
 def test_c2xc3_is_cyclic(grp):
