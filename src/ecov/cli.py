@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -229,6 +230,7 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="write the report to PATH instead of stdout")
 
 
+@functools.cache  # built on the first main() call; shared, so callers must not modify it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecov",

@@ -138,7 +138,7 @@ def _parse_token(token: str) -> GroupSpec:
         if family == "psl2":
             from .gf import MAX_Q, factor_prime_power
 
-            if factor_prime_power(params[0]) is None or params[0] > MAX_Q:
+            if params[0] > MAX_Q or factor_prime_power(params[0]) is None:
                 raise BadPrimePower(f"PSL(2,q) needs a prime power q in 2..{MAX_Q}, got {params[0]}")
         return GroupSpec(family, params)
     raise UnknownFamily(f"unrecognized group spec {token!r}")
@@ -477,14 +477,14 @@ def _build_cyclic(n: int) -> GroupTable:
 
 
 def _build_dihedral(order: int) -> GroupTable:
-    # Elements r^i s^e indexed i + n*e where order = 2n.
+    # Elements r^i s^e indexed i + n*e where order = 2n.  Each (e, e') block
+    # of the table is a sum or difference table mod n, reduced before the
+    # flip term is added, so every entry stays below the order.
     n = order // 2
-    idx = np.arange(order)
-    i, e = idx % n, idx // n
-    sign = 1 - 2 * e
-    rot = (i[:, None] + sign[:, None] * i[None, :]) % n
-    flip = e[:, None] ^ e[None, :]
-    table = rot + n * flip
+    idx = np.arange(n, dtype=_index_dtype(order))
+    add = (idx[:, None] + idx[None, :]) % n
+    sub = (idx[:, None] - idx[None, :]) % n
+    table = np.block([[add, add + n], [sub + n, sub]])
     meta = ConstructionMeta("dihedral", f"D{order}", (n,))
     gens = (1, n) if n >= 2 else (1,)
     return _make_group(table, meta, gens)
@@ -494,13 +494,10 @@ def _build_dicyclic(n: int) -> GroupTable:
     # Presentation a^(2n)=1, b^2=a^n, b^-1 a b = a^-1; elements a^i b^e
     # indexed i + 2n*e.
     m = 2 * n
-    idx = np.arange(4 * n)
-    i, e = idx % m, idx // m
-    sign = 1 - 2 * e
-    both = e[:, None] & e[None, :]
-    rot = (i[:, None] + sign[:, None] * i[None, :] + n * both) % m
-    flip = e[:, None] ^ e[None, :]
-    table = rot + m * flip
+    idx = np.arange(m, dtype=_index_dtype(4 * n))
+    add = (idx[:, None] + idx[None, :]) % m
+    sub = (idx[:, None] - idx[None, :]) % m
+    table = np.block([[add, add + m], [sub + m, (sub + n) % m]])
     name = "Q8" if n == 2 else f"Dic{n}"
     meta = ConstructionMeta("dicyclic", name, (n,))
     return _make_group(table, meta, (1, m))

@@ -448,3 +448,77 @@ def test_package_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("Yes — RuleT16_Dihedral")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _leak_prone_argvs(out, witness, cert):
+    """Calls whose neighbours could see each other's values through a shared parser."""
+    return [
+        ["--out", out, "describe", "D8"],
+        ["describe", "D8"],
+        ["describe", "S4", "--lattice-limit", "10"],
+        ["describe", "S4"],
+        ["describe", "C12", "--out", out],
+        ["--lattice-limit", "5", "sigma", "S3"],
+        ["sigma", "S3", "--witness", witness],
+        ["sigma", "S3"],
+        ["epsilon", "D8"],
+        ["rho", "C2xC2", "--witness", witness],
+        ["partition", "E(2,3)", "--witness", witness],
+        ["check", "D12", "--emit-certificate", witness],
+        ["check", "A4", "--rules-only"],
+        ["check", "A4", "--rules-only", "--exhaustive-only"],
+        ["check", "C12", "--exhaustive-only"],
+        ["check", "A4"],
+        ["verify", cert],
+        ["--seed", "3", "describe", "X99"],
+        ["census", "--max-order", "12", "--format", "json"],
+        ["--jobs", "2", "census", "--max-order", "12"],
+        ["frobnicate"],
+        [],
+        ["--help"],
+        ["sigma", "--help"],
+    ]
+
+
+def _take_files(paths):
+    """The text of each of paths that exists, which is then removed."""
+    files = {}
+    for path in paths:
+        if path.exists():
+            files[path.name] = path.read_text(encoding="utf-8")
+            path.unlink()
+    return files
+
+
+def _outcome(capsys, argv, written):
+    """Exit code, stdout, stderr and the text of each file the call wrote."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, _take_files(written)
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, witness, cert = tmp_path / "out.txt", tmp_path / "witness.json", tmp_path / "d12.json"
+    assert cli.main(["check", "D12", "--emit-certificate", str(cert)]) == 0
+    capsys.readouterr()
+    argvs = _leak_prone_argvs(str(out), str(witness), str(cert))
+    forward = [_outcome(capsys, argv, (out, witness)) for argv in argvs]
+    backward = [_outcome(capsys, argv, (out, witness)) for argv in reversed(argvs)]
+    for argv, a, b in zip(argvs, forward, reversed(backward)):
+        assert a == b, argv
+    assert cli._build_parser() is cli._build_parser()
+
+    # --help, an --out call and a usage error, each in a fresh interpreter
+    # with a parser of its own, give the same bytes.
+    for argv in (["--help"], argvs[0], argvs[13]):
+        proc = subprocess.run([sys.executable, "-m", "ecov", *argv], capture_output=True, text=True)
+        fresh = (proc.returncode, proc.stdout, proc.stderr, _take_files((out, witness)))
+        assert fresh == forward[argvs.index(argv)], argv

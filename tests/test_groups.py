@@ -138,6 +138,24 @@ def test_parse_errors(text, exc):
         parse_group_spec(text)
 
 
+def test_psl_bound_is_checked_before_factoring_q(monkeypatch):
+    # Factoring a huge q by trial division would run for minutes.
+    from ecov import gf
+
+    factor = gf.factor_prime_power
+
+    def small_only(q):
+        if q > gf.MAX_Q:
+            raise AssertionError(f"factor_prime_power({q}) called above MAX_Q")
+        return factor(q)
+
+    monkeypatch.setattr(gf, "factor_prime_power", small_only)
+    for q in (1000000000000000003, 64):
+        with pytest.raises(BadPrimePower, match=rf"needs a prime power q in 2\.\.32, got {q}$"):
+            parse_group_spec(f"PSL(2,{q})")
+    assert parse_group_spec("PSL(2,32)").params == (32,)
+
+
 # ---------------------------------------------------------------------------
 # Builders: orders and exponents
 
@@ -172,6 +190,30 @@ def test_builder_orders_and_exponents(grp, spec, order, expo):
     assert G.order == order
     assert exponent(G) == expo
     assert verify_table(G.table, generators=G.generators).ok
+
+
+def _twisted_cyclic_reference(order: int, m: int, shift: int) -> np.ndarray:
+    # The int64 formula the dihedral (shift 0) and dicyclic (shift n) builders
+    # used before they built by blocks: a^i b^e indexed i + m*e.
+    idx = np.arange(order, dtype=np.int64)
+    i, e = idx % m, idx // m
+    sign = 1 - 2 * e
+    rot = (i[:, None] + sign[:, None] * i[None, :] + shift * (e[:, None] & e[None, :])) % m
+    return rot + m * (e[:, None] ^ e[None, :])
+
+
+def test_dihedral_and_dicyclic_tables_match_the_int64_formula(monkeypatch):
+    # Every order up to 400 and the largest up to 2,000; _make_group's
+    # verification is skipped so the sweep stays cheap.
+    monkeypatch.setattr(groups, "_make_group", lambda table, meta, gens: table)
+    for order in [*range(2, 401, 2), 1000, 1998, 2000]:
+        table = groups._build_dihedral(order)
+        assert table.dtype == np.int16
+        assert np.array_equal(table, _twisted_cyclic_reference(order, order // 2, 0)), order
+    for n in [*range(1, 101), 250, 499, 500]:
+        table = groups._build_dicyclic(n)
+        assert table.dtype == np.int16
+        assert np.array_equal(table, _twisted_cyclic_reference(4 * n, 2 * n, n)), n
 
 
 def test_psl_2_8_order_and_exponent(grp):
