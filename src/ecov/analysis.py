@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedForOne
-from .groups import GroupTable, exponent, factorize, quotient
-from .lattice import Subgroup, SubgroupLattice, element_conjugacy_classes, normal_closure
+from .groups import GroupTable, exponent, factorize, quotient, smallest_prime_divisor
+from .lattice import Subgroup, element_conjugacy_classes, normal_closure
 
 __all__ = [
     "StructureReport",
@@ -24,28 +23,14 @@ __all__ = [
     "is_cyclic",
     "is_abelian",
     "p_group_prime",
-    "is_p_group",
     "is_nilpotent",
     "is_simple",
     "is_square_free_distinct_primes",
     "smallest_prime_divisor",
-    "has_klein_quotient",
     "center_members",
     "elementary_abelian_quotient",
     "index_p_subgroups",
 ]
-
-
-def smallest_prime_divisor(n: int) -> int:
-    """Least prime factor; undefined for n = 1."""
-    if n < 2:
-        raise UndefinedForOne(f"no prime divisor for n={n}")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def is_square_free_distinct_primes(n: int) -> bool:
@@ -75,10 +60,6 @@ def p_group_prime(G: GroupTable) -> int | None:
     if len(fac) == 1:
         return next(iter(fac))
     return None
-
-
-def is_p_group(G: GroupTable) -> bool:
-    return p_group_prime(G) is not None
 
 
 def center_members(G: GroupTable) -> tuple[int, ...]:
@@ -116,27 +97,6 @@ def is_simple(G: GroupTable) -> bool:
     orders = G.element_orders()
     prime = [c for c in element_conjugacy_classes(G)[1:] if smallest_prime_divisor(orders[c[0]]) == orders[c[0]]]
     return all(normal_closure(G, c[:1]).order == n for c in sorted(prime, key=len))
-
-
-def has_klein_quotient(G: GroupTable, L: SubgroupLattice) -> Subgroup | None:
-    """A normal subgroup of index 4 with non-cyclic quotient, if any.
-
-    The quotient is the Klein four-group exactly when every square lands in
-    the subgroup, which avoids building the quotient table.
-    """
-    n = G.order
-    if n % 4:
-        return None
-    squares = np.diagonal(G.table)
-    normal = L.normal_flags
-    for i, H in enumerate(L.subgroups):
-        if H.order * 4 != n or not normal[i]:
-            continue
-        inside = np.zeros(n, dtype=bool)
-        inside[list(H.members)] = True
-        if inside[squares].all():
-            return H
-    return None
 
 
 @dataclass(frozen=True)
@@ -212,50 +172,36 @@ def elementary_abelian_quotient(G: GroupTable, p: int) -> tuple[int, Subgroup]:
 
 
 def index_p_subgroups(G: GroupTable, p: int) -> list[tuple[int, ...]]:
-    """Member tuples of ALL index-p subgroups, via the elementary quotient.
+    """Member tuples of all normal index-p subgroups, via the elementary quotient.
 
-    Every index-p subgroup is normal with cyclic order-p quotient, hence
-    contains the kernel N of the maximal exponent-p abelian quotient; the
-    index-p subgroups are exactly the preimages of the hyperplanes of G/N.
+    A normal index-p subgroup has cyclic order-p quotient, hence contains the
+    kernel N of the maximal exponent-p abelian quotient; these subgroups are
+    exactly the preimages of the hyperplanes of G/N.  An index-p subgroup
+    that is not normal is not listed: S4 with p = 3 gives [], though S4 has
+    three index-3 subgroups.  In a nilpotent group, p-groups included, every
+    index-p subgroup is normal.
     """
     k, N = elementary_abelian_quotient(G, p)
     if k == 0:
         return []
     Q, proj = quotient(G, N.members)
-    # Coordinates of Q over GF(p): grow a basis greedily.
-    coords: dict[int, tuple[int, ...]] = {0: ()}
-    basis: list[int] = []
-    QT = Q.table
+    # Coordinates of Q over GF(p): grow a basis greedily.  The span of the
+    # first dim basis vectors has zeros from coordinate dim on.
+    coords = {0: (0,) * k}
+    dim = 0
     for q in range(1, Q.order):
         if q in coords:
             continue
-        dim = len(basis)
-        basis.append(q)
-        spanned = list(coords.items())
-        for x, vx in spanned:
+        times_q = Q.table[:, q].tolist()
+        for x, vx in list(coords.items()):
             y = x
             for j in range(1, p):
-                y = int(QT[y, q])
-                coords[y] = vx + tuple(0 for _ in range(dim - len(vx))) + (j,)
-    kk = len(basis)
-    full_coords = {q: v + (0,) * (kk - len(v)) for q, v in coords.items()}
+                y = times_q[y]
+                coords[y] = vx[:dim] + (j,) + vx[dim + 1:]
+        dim += 1
+    C = np.array([coords[q] for q in range(Q.order)])
     # Nonzero functionals up to scalar: first nonzero coefficient is 1.
-    functionals = []
-    for lead in range(kk):
-        tail = kk - lead - 1
-        count = p**tail
-        for t in range(count):
-            c = []
-            tt = t
-            for _ in range(tail):
-                c.append(tt % p)
-                tt //= p
-            functionals.append((0,) * lead + (1,) + tuple(c))
-    out = []
-    for phi in functionals:
-        kernel = {
-            q for q, v in full_coords.items() if sum(a * b for a, b in zip(phi, v)) % p == 0
-        }
-        members = tuple(x for x in range(G.order) if proj[x] in kernel)
-        out.append(members)
-    return sorted(out)
+    vectors = np.arange(Q.order)[:, None] // p ** np.arange(k) % p
+    lead = vectors[np.arange(Q.order), (vectors != 0).argmax(axis=1)]
+    kernels = (C @ vectors[lead == 1].T) % p == 0
+    return sorted(tuple(np.flatnonzero(row).tolist()) for row in kernels.T[:, proj])

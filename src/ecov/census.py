@@ -13,7 +13,7 @@ from pathlib import Path
 from .analysis import is_abelian, is_nilpotent, is_simple, is_square_free_distinct_primes, smallest_prime_divisor
 from .covering import FULL_LATTICE_LIMIT, decide, decide_with_hints, load_hints
 from .errors import EcovError, UnknownFormat
-from .groups import GroupSpec, build_group, exponent, parse_group_spec, spec_order
+from .groups import GroupSpec, _is_prime, build_group, exponent, parse_group_spec, spec_order
 
 __all__ = [
     "CatalogEntry",
@@ -81,17 +81,6 @@ class CensusResult:
         return not self.mismatches and not self.errors
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    sieve = [True] * (limit + 1)
-    out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, limit + 1, p):
-                sieve[q] = False
-    return out
-
-
 def catalog(max_order: int = 60) -> list[CatalogEntry]:
     """Constructor-family catalog up to max_order, deduplicated by spec text.
 
@@ -138,7 +127,7 @@ def catalog(max_order: int = 60) -> list[CatalogEntry]:
             add(f"Dic{n}", None, None)
         n += 1
 
-    for p in _primes_up_to(math.isqrt(max_order)):
+    for p in filter(_is_prime, range(2, math.isqrt(max_order) + 1)):
         k = 2
         while p**k <= max_order:
             add(f"E({p},{k})", "Yes", _SRC_PGROUP)

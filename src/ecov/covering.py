@@ -141,10 +141,6 @@ class Certificate:
         if self.mode not in CERTIFICATE_MODES:
             raise SpecError(f"unknown certificate mode {self.mode!r}")
 
-    def common_order(self) -> int | None:
-        orders = {len(m) for m in self.members}
-        return next(iter(orders)) if len(orders) == 1 else None
-
     def to_json(self, group: str) -> dict:
         doc = {
             "mode": self.mode,
@@ -273,11 +269,6 @@ class Decision:
     citation: str
     certificate: Certificate | None = None
     elapsed: float = 0.0
-
-    @property
-    def has_covering_at_all(self) -> bool:
-        """False only for the cyclic case, which has no covering of any kind."""
-        return self.method != "RuleT1_Cyclic"
 
 
 def _decision(status: str, method: str, certificate: Certificate | None, t0: float) -> Decision:

@@ -9,6 +9,7 @@ invertible under the resulting multiplication.
 from __future__ import annotations
 
 from .errors import BadPrimePower
+from .groups import smallest_prime_divisor
 
 __all__ = ["SmallField", "small_field", "factor_prime_power"]
 
@@ -19,17 +20,12 @@ def factor_prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q == p**k and p prime, or None."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q and p < q:
-            break
-        if q % p:
-            continue
-        k, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        return (p, k) if rest == 1 else None
-    return (q, 1)  # q itself prime
+    p = smallest_prime_divisor(q)
+    k, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    return (p, k) if rest == 1 else None
 
 
 def _digits(value: int, p: int, k: int) -> list[int]:

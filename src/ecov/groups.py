@@ -29,6 +29,7 @@ from .errors import (
     NotNormal,
     OrderLimitExceeded,
     SpecError,
+    UndefinedForOne,
     UnknownFamily,
 )
 from .perms import parse_cycles
@@ -42,7 +43,6 @@ __all__ = [
     "parse_group_spec",
     "build_group",
     "verify_table",
-    "element_order",
     "exponent",
     "direct_product",
     "semidirect_product",
@@ -57,28 +57,36 @@ MAX_ORDER = 10000
 _LIGHT_BLOCK_CELLS = 1_000_000
 
 
-def _is_prime(n: int) -> bool:
+def smallest_prime_divisor(n: int) -> int:
+    """Least prime factor, by trial division up to sqrt(n); undefined below 2.
+
+    ``_is_prime``, ``factorize`` and ``gf.factor_prime_power`` all call this
+    one loop.  It returns at the first divisor, so a huge even n is answered
+    at once.
+    """
     if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
+        raise UndefinedForOne(f"no prime divisor for n={n}")
+    d = 2
+    while d * d <= n:
         if n % d == 0:
-            return False
-    return True
+            return d
+        d += 1
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and smallest_prime_divisor(n) == n
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: multiplicity}."""
+    """Prime factorization as {prime: multiplicity}, primes ascending."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    while n > 1:
+        p = smallest_prime_divisor(n)
+        out[p] = out.get(p, 0) + 1
+        n //= p
     return out
 
 
@@ -233,17 +241,6 @@ class GroupTable:
         self._lattice = None  # the SubgroupLattice, set by lattice.get_lattice
         self._conjugation = None  # the maps x -> g x g^-1, set by lattice._conjugation_maps
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        T = self.table
-        return int(T[T[g, x], self.inverse[g]])
-
     def element_orders(self) -> list[int]:
         if self._orders is None:
             # |x| is the product of its p-parts over the primes p of n = |G|.
@@ -282,13 +279,6 @@ def _power(T: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
         if not m:
             return np.zeros_like(x) if result is None else result
         x = square[x]
-
-
-def element_order(G: GroupTable, g: int) -> int:
-    """Least k >= 1 with g^k = identity."""
-    if not 0 <= g < G.order:
-        raise ValueError(f"element index {g} out of range")
-    return G.element_orders()[g]
 
 
 def exponent(G: GroupTable) -> int:
@@ -516,19 +506,14 @@ def _build_elementary(p: int, k: int) -> GroupTable:
     return _make_group(table, meta, gens)
 
 
-def _close_and_tabulate(
-    generators: list[list[int]],
-    kind: str,
-    name: str,
-    params: tuple = (),
-    max_order: int | None = None,
-) -> GroupTable:
+def _close_and_tabulate(generators: list[list[int]], kind: str, name: str, params: tuple = ()) -> GroupTable:
     """Close generators given as image sequences, and tabulate the group.
 
     Generators are padded to one degree, rid of the identity and repeats,
     and sorted.  Elements are image rows numbered breadth-first from the
     identity, each layer in lexicographic order; ``x * g`` applies g first,
-    so its images are ``x[g]``.
+    so its images are ``x[g]``.  A closure that passes ``MAX_ORDER``
+    elements raises ``OrderLimitExceeded``.
     """
     degree = max(len(g) for g in generators)
     identity = np.arange(degree, dtype=np.int64)
@@ -554,8 +539,8 @@ def _close_and_tabulate(
             index_of[products[f].tobytes()] = len(index_of)
             parents.append((start + f // len(gens), f % len(gens)))
         layers.append(products[picked])
-        if max_order is not None and len(index_of) > max_order:
-            raise OrderLimitExceeded(f"{name}: closure exceeded the order limit {max_order}")
+        if len(index_of) > MAX_ORDER:
+            raise OrderLimitExceeded(f"{name}: closure exceeded the order limit {MAX_ORDER}")
     elements = np.concatenate(layers)
     n = len(elements)
     # lmul[g][y] is the index of g * y, so row e = p * g of the table is
@@ -816,34 +801,34 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 
-def build_group(spec: GroupSpec | str, max_order: int = MAX_ORDER) -> GroupTable:
+def build_group(spec: GroupSpec | str) -> GroupTable:
     """Build the verified table for a spec (object or mini-language text)."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     predicted = spec_order(spec)
-    if predicted is not None and predicted > max_order:
+    if predicted is not None and predicted > MAX_ORDER:
         try:
             shown = str(predicted)
         except ValueError:  # past Python's int-to-str digit limit
             shown = f"at least 2^{predicted.bit_length() - 1}"
-        raise OrderLimitExceeded(f"{spec.text()} has order {shown}, above the limit {max_order}")
+        raise OrderLimitExceeded(f"{spec.text()} has order {shown}, above the limit {MAX_ORDER}")
     f = spec.family
     if f in _FAMILIES:
         return _FAMILIES[f].build(*spec.params)
     if f == "product":
-        built = build_group(spec.children[0], max_order)
+        built = build_group(spec.children[0])
         for child in spec.children[1:]:
-            built = direct_product(built, build_group(child, max_order))
+            built = direct_product(built, build_group(child))
         if len(spec.children) > 2:
             meta = ConstructionMeta("product", spec.text(), (), built.meta.children)
             built = GroupTable(built.table, meta, built.generators)
         return built
     if f == "cayley":
         G = _build_cayley_file(spec.path, spec.text())
-        if G.order > max_order:
-            raise OrderLimitExceeded(f"table order {G.order} exceeds {max_order}")
+        if G.order > MAX_ORDER:
+            raise OrderLimitExceeded(f"table order {G.order} exceeds {MAX_ORDER}")
         return G
     if f == "perm":
         gens = _load_permutation_file(spec.path)
-        return _close_and_tabulate(gens, "perm", spec.text(), (), max_order=max_order)
+        return _close_and_tabulate(gens, "perm", spec.text(), ())
     raise UnknownFamily(f"cannot build family {f!r}")  # pragma: no cover

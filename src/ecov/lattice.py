@@ -10,11 +10,11 @@ its class has one member, and a proper subgroup is maximal exactly when
 every extension of its class representative is the whole group.
 Every closure goes through one list kernel, ``groups._close``: a seed
 closed under index maps, which are columns of the table (right
-multiplications) or the conjugation maps.  A generated subgroup closes the
-identity under its generators' columns; a normal closure adds the
-conjugation maps, so it needs one map per seed element and per group
-generator.  Only the lattice, whose extensions range over every element,
-takes all columns at once.
+multiplications) or the conjugation maps.  A normal closure closes the
+identity under its seed elements' columns and the conjugation maps, so it
+needs one map per seed element and per group generator.  Only the
+lattice, whose extensions range over every element, takes all columns at
+once.
 Normal subgroups can also be found without the full lattice, as joins of
 the normal closures of element classes, so decision rules can run on
 groups too large to enumerate fully.
@@ -32,13 +32,10 @@ __all__ = [
     "FULL_LATTICE_LIMIT",
     "Subgroup",
     "SubgroupLattice",
-    "generated_subgroup",
     "enumerate_subgroups",
     "get_lattice",
     "maximal_subgroups",
     "normal_subgroups",
-    "conjugacy_classes_of_subgroups",
-    "is_normal",
     "element_conjugacy_classes",
     "normal_closure",
     "normal_subgroups_direct",
@@ -86,13 +83,6 @@ def _subgroup(G: GroupTable, members: set[int] | None, generators: tuple[int, ..
         n = G.order
         return Subgroup((1 << n) - 1, tuple(range(n)), G.generators)
     return Subgroup.from_members(members, generators)
-
-
-def generated_subgroup(G: GroupTable, generators) -> Subgroup:
-    """The subgroup generated by the given element indices."""
-    gens = tuple(sorted({int(g) for g in generators} - {0}))
-    T = G.table
-    return _subgroup(G, _close([T[:, g].tolist() for g in gens], (0,), G.order // 2), gens)
 
 
 def _conjugation_maps(G: GroupTable) -> list[list[int]]:
@@ -243,16 +233,6 @@ def normal_subgroups(L: SubgroupLattice) -> list[Subgroup]:
     """Subgroups stable under conjugation (trivial and full included)."""
     flags = L.normal_flags
     return [s for s, f in zip(L.subgroups, flags) if f]
-
-
-def conjugacy_classes_of_subgroups(L: SubgroupLattice) -> list[list[Subgroup]]:
-    """Orbits of subgroups under conjugation by the whole group."""
-    return [[L.subgroups[i] for i in cls] for cls in L.classes]
-
-
-def is_normal(G: GroupTable, sub: Subgroup) -> bool:
-    """Whether conjugation by every group generator preserves the subgroup."""
-    return all(_conjugate_mask(cmap, sub) == sub.mask for cmap in _conjugation_maps(G))
 
 
 def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:

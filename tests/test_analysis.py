@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import pytest
@@ -12,12 +13,10 @@ from ecov.analysis import (
     center_members,
     elementary_abelian_quotient,
     factorize,
-    has_klein_quotient,
     index_p_subgroups,
     is_abelian,
     is_cyclic,
     is_nilpotent,
-    is_p_group,
     is_simple,
     is_square_free_distinct_primes,
     p_group_prime,
@@ -26,8 +25,11 @@ from ecov.analysis import (
 )
 from ecov.census import catalog
 from ecov.errors import UndefinedForOne
-from ecov.groups import build_group, exponent
-from ecov.lattice import generated_subgroup, get_lattice
+from ecov.gf import factor_prime_power
+from ecov.groups import _is_prime, build_group, exponent
+from ecov.lattice import get_lattice
+
+from conftest import generated, klein_quotient
 
 # ---------------------------------------------------------------------------
 # Integer helpers
@@ -45,6 +47,26 @@ def test_smallest_prime_divisor():
     assert smallest_prime_divisor(97) == 97
     with pytest.raises(UndefinedForOne):
         smallest_prime_divisor(1)
+
+
+def test_prime_helpers_match_a_sieve():
+    limit = 10_000
+    least = list(range(limit + 1))  # least prime factor, by the sieve of Eratosthenes
+    for p in range(2, math.isqrt(limit) + 1):
+        if least[p] == p:
+            for q in range(p * p, limit + 1, p):
+                least[q] = min(least[q], p)
+    for n in range(1, limit + 1):
+        want: dict[int, int] = {}
+        m = n
+        while m > 1:
+            want[least[m]] = want.get(least[m], 0) + 1
+            m //= least[m]
+        assert list(factorize(n).items()) == list(want.items()), n
+        assert _is_prime(n) is (n > 1 and least[n] == n), n
+        assert factor_prime_power(n) == (next(iter(want.items())) if len(want) == 1 else None), n
+        if n > 1:
+            assert smallest_prime_divisor(n) == least[n], n
 
 
 def test_square_free():
@@ -93,7 +115,7 @@ def test_predicate_table(grp, spec, cyclic, abelian, pgroup, nilpotent, simple):
     G = grp(spec)
     assert is_cyclic(G) is cyclic
     assert is_abelian(G) is abelian
-    assert is_p_group(G) is pgroup
+    assert (p_group_prime(G) is not None) is pgroup
     assert is_nilpotent(G) is nilpotent
     assert is_simple(G) is simple
 
@@ -183,12 +205,14 @@ def test_klein_quotient_detection(grp):
         ("C2xC3", False),
     ):
         G = grp(spec)
-        found = has_klein_quotient(G, get_lattice(G))
+        found = klein_quotient(G)
         assert (found is not None) is expect, spec
+        # a Klein four quotient is G/N for N the intersection of two index-2 subgroups
+        assert (len(index_p_subgroups(G, 2)) >= 2) is expect, spec
         if found is not None:
             assert G.order // found.order == 4
             # all squares fall into the witness subgroup
-            assert all(G.mul(g, g) in found.members for g in range(G.order))
+            assert all(G.table[g, g] in found.members for g in range(G.order))
 
 
 def test_structure_report_fields(grp):
@@ -231,7 +255,7 @@ def test_elementary_abelian_quotient_rank(grp, spec, p, rank):
     for g in range(G.order):
         acc = 0
         for _ in range(p):
-            acc = G.mul(acc, g)
+            acc = G.table[acc, g]
         assert acc in kernel.members
 
 
@@ -243,6 +267,7 @@ def test_elementary_abelian_quotient_rank(grp, spec, p, rank):
         ("E(2,3)", 2, 7),
         ("E(3,2)", 3, 4),
         ("S4", 2, 1),
+        ("S4", 3, 0),  # S4 has three index-3 subgroups, none of them normal
         ("A4", 2, 0),
         ("Q8", 2, 3),
     ],
@@ -261,11 +286,24 @@ def test_index_p_subgroup_counts(grp, spec, p, count):
         assert {tuple(m) for m in subs} == index_p
 
 
+def test_index_p_subgroups_are_the_normal_subgroups_of_index_p(grp):
+    """For every catalog(64) group G and prime p dividing |G|, the listing is
+    the lattice's normal subgroups of order |G|/p."""
+    pairs = 0
+    for entry in catalog(64):
+        G = grp(entry.spec.text())
+        L = get_lattice(G)
+        for p in factorize(G.order):
+            normal = [s.members for s, flag in zip(L.subgroups, L.normal_flags) if flag and s.order * p == G.order]
+            assert index_p_subgroups(G, p) == sorted(normal), (entry.display, p)
+            pairs += 1
+    assert pairs == 374
+
+
 def test_index_p_subgroups_are_genuine(grp):
     G = grp("D12")
     for members in index_p_subgroups(G, 2):
-        sub = generated_subgroup(G, members)
-        assert sub.members == members
+        assert generated(G, members) == members
 
 
 def test_exponent_of_elementary_quotient_group(grp):

@@ -258,7 +258,7 @@ def test_yes_decisions_by_rule(grp, spec, method, order):
     assert d.method == method
     cert = d.certificate
     assert cert is not None and cert.mode == "EqualCovering"
-    assert cert.common_order() == order
+    assert {len(m) for m in cert.members} == {order}
     assert verify_certificate(G, cert).ok
 
 
@@ -302,7 +302,7 @@ def test_semidirect_rule_fires_for_built_semidirect(grp):
     d = decide(G)
     assert d.status == "Yes"
     assert d.method == "RuleC3_Semidirect"
-    assert d.certificate.common_order() == 6
+    assert {len(m) for m in d.certificate.members} == {6}
     assert verify_certificate(G, d.certificate).ok
 
 
@@ -360,7 +360,7 @@ def test_exhaustive_mode_on_yes_group(grp):
     G = grp("D12")
     d = decide(G, "exhaustive")
     assert d.status == "Yes" and d.method == "Exhaustive"
-    assert d.certificate.common_order() == 6
+    assert {len(m) for m in d.certificate.members} == {6}
     assert verify_certificate(G, d.certificate).ok
     # the cyclic fast path is bypassed: exhaustive on a cyclic group still
     # answers through the union test
@@ -389,7 +389,7 @@ def test_c2xd10_regression_yes_both_ways(grp):
     assert auto.status == "Yes" and auto.method == "RuleT21_Quotient"
     ex = decide(G, "exhaustive")
     assert ex.status == "Yes"
-    assert ex.certificate.common_order() == 10
+    assert {len(m) for m in ex.certificate.members} == {10}
     assert len(ex.certificate.members) == 3
     assert verify_certificate(G, ex.certificate).ok
 
@@ -407,9 +407,12 @@ def test_decide_validates_mode(grp):
 
 
 def test_decision_reports_coverability(grp):
-    assert not decide(grp("C12")).has_covering_at_all
-    assert decide(grp("S3")).has_covering_at_all
-    assert decide(grp("D12")).has_covering_at_all
+    # Only a cyclic group has no covering of any kind (sigma is infinite),
+    # and only the cyclic rule says so.
+    for spec, cyclic in (("C12", True), ("S3", False), ("D12", False)):
+        G = grp(spec)
+        assert (decide(G).method == "RuleT1_Cyclic") is cyclic
+        assert (sigma(G).value == INFINITY) is cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +600,7 @@ def test_epsilon_values(grp, spec, value):
     got, witness = epsilon(G)
     assert got == value
     assert witness.mode == "EqualCovering"
-    assert witness.common_order() is not None
+    assert len({len(m) for m in witness.members}) == 1
     assert verify_certificate(G, witness).ok
     assert got >= sigma(G).value
 
@@ -686,7 +689,7 @@ def test_equal_partition_certificate_for_klein(grp):
     G = grp("E(2,2)")
     _, cert = equal_partition_exists(G)
     assert len(cert.members) == 3
-    assert cert.common_order() == 2
+    assert {len(m) for m in cert.members} == {2}
 
 
 def test_rho_agrees_with_equal_partition_on_elementary_abelian(grp):

@@ -31,7 +31,6 @@ from ecov.groups import (
     GroupSpec,
     build_group,
     direct_product,
-    element_order,
     exponent,
     parse_group_spec,
     quotient,
@@ -278,16 +277,14 @@ def test_cyclic_group_has_phi_d_elements_of_each_order_d(grp, n):
 
 def test_c2xc3_is_cyclic(grp):
     G = grp("C2xC3")
-    assert max(element_order(G, g) for g in range(6)) == 6
+    assert max(G.element_orders()) == 6
 
 
 def test_group_table_operations(grp):
     G = grp("D12")
     for a in range(G.order):
-        assert G.mul(a, G.inv(a)) == 0
-        assert G.mul(G.inv(a), a) == 0
-    a, b = 1, 7
-    assert G.conjugate(b, a) == G.mul(G.mul(b, a), G.inv(b))
+        assert G.table[a, G.inverse[a]] == 0
+        assert G.table[G.inverse[a], a] == 0
     assert G.meta.name == "D12"
     assert build_group("C2xC3xC2").meta.name == "C2xC3xC2"
 
@@ -634,10 +631,11 @@ def test_permutation_file_numbering_matches_reference_closure(tmp_path, text):
 
 
 def test_permutation_closure_respects_limit(tmp_path):
-    path = tmp_path / "s5.txt"
-    path.write_text("(1,2)\n(1,2,3,4,5)\n", encoding="utf-8")
-    with pytest.raises(OrderLimitExceeded):
-        build_group(f"perm:{path}", max_order=100)
+    # S8 has order 40320, above MAX_ORDER: the closure stops once it passes the limit.
+    path = tmp_path / "s8.txt"
+    path.write_text("(1,2)\n(1,2,3,4,5,6,7,8)\n", encoding="utf-8")
+    with pytest.raises(OrderLimitExceeded, match="closure exceeded the order limit 10000"):
+        build_group(f"perm:{path}")
 
 
 def test_psl27_from_permutation_file_matches_moebius_build(grp, tmp_path):
@@ -653,9 +651,7 @@ def test_psl27_from_permutation_file_matches_moebius_build(grp, tmp_path):
     H = grp("PSL(2,7)")
     assert G.order == H.order == 168
     assert exponent(G) == exponent(H) == 84
-    assert sorted(set(element_order(G, g) for g in range(168))) == sorted(
-        set(element_order(H, g) for g in range(168))
-    )
+    assert sorted(set(G.element_orders())) == sorted(set(H.element_orders()))
 
 
 def test_mathieu_generator_closures():
@@ -718,12 +714,12 @@ def test_direct_product_structure(grp):
     A, B = grp("C2"), grp("C3")
     P = direct_product(A, B)
     assert P.order == 6
-    orders = sorted(element_order(P, g) for g in range(6))
+    orders = sorted(P.element_orders())
     assert orders == [1, 2, 3, 3, 6, 6]
     # embedded copies commute
     for a in range(2):
         for b in range(3):
-            assert P.mul(a * 3, b) == P.mul(b, a * 3)
+            assert P.table[a * 3, b] == P.table[b, a * 3]
 
 
 def test_semidirect_product_builds_w(grp):
@@ -734,9 +730,7 @@ def test_semidirect_product_builds_w(grp):
     assert W.order == 20
     assert exponent(W) == 20
     ref = grp("W")
-    assert sorted(element_order(W, g) for g in range(20)) == sorted(
-        element_order(ref, g) for g in range(20)
-    )
+    assert sorted(W.element_orders()) == sorted(ref.element_orders())
 
 
 def test_semidirect_rejects_bad_actions(grp):
@@ -782,7 +776,7 @@ def test_quotient_by_trivial_is_identity_map(grp):
 
 def test_quotient_rejects_non_normal_and_non_subgroups(grp):
     G = grp("D12")
-    reflection = next(g for g in range(12) if element_order(G, g) == 2 and g >= 6)
+    reflection = next(g for g in range(12) if G.element_orders()[g] == 2 and g >= 6)
     with pytest.raises(NotNormal):
         quotient(G, (0, reflection))
     with pytest.raises(NotNormal):
@@ -808,7 +802,7 @@ def test_quotient_numbers_cosets_by_least_member_on_catalog():
 
 
 def test_stored_generators_generate_the_table(grp, tmp_path):
-    # The center, the conjugation maps and is_normal test against the stored
+    # The center and the conjugation maps are computed from the stored
     # generators alone, so every builder must store a generating set.
     groups = [build_group(entry.spec) for entry in catalog(240)]
     groups += [build_group(spec) for spec in ("A7", "PSL(2,16)", "C1510", "W")]

@@ -17,18 +17,17 @@ from ecov.errors import LatticeLimitExceeded
 from ecov.groups import build_group
 from ecov.lattice import (
     Subgroup,
-    conjugacy_classes_of_subgroups,
     element_conjugacy_classes,
     enumerate_subgroups,
-    generated_subgroup,
     get_lattice,
-    is_normal,
     lattice_to_json,
     maximal_subgroups,
     normal_closure,
     normal_subgroups,
     normal_subgroups_direct,
 )
+
+from conftest import generated, is_normal
 
 
 def brute_force_subgroups(G) -> set[tuple[int, ...]]:
@@ -175,9 +174,9 @@ def test_q8_maximal_subgroups(grp):
     L = get_lattice(G)
     maxes = maximal_subgroups(L)
     assert [m.order for m in maxes] == [4, 4, 4]
-    assert all(is_normal(G, m) for m in maxes)
+    assert all(is_normal(G, m.members) for m in maxes)
     # one involution, and every nontrivial subgroup contains it
-    central = next(g for g in range(8) if g and G.mul(g, g) == 0)
+    central = next(g for g in range(8) if g and G.table[g, g] == 0)
     assert all(central in s.members for s in L.subgroups if s.order > 1)
 
 
@@ -239,7 +238,7 @@ def test_direct_normal_scan_agrees_with_lattice(grp, spec):
 def test_conjugacy_classes_of_subgroups(grp):
     G = grp("S3")
     L = get_lattice(G)
-    classes = conjugacy_classes_of_subgroups(L)
+    classes = [[L.subgroups[i] for i in cls] for cls in L.classes]
     assert len(classes) == 4  # trivial, the three reflections, rotation, full
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 1, 1, 3]
@@ -271,7 +270,7 @@ def test_normal_closure_matches_minimal_normal_over(grp):
                     meet &= s.mask
             closure = normal_closure(G, seed)
             assert closure.mask == meet, (spec, seed)
-            assert is_normal(G, closure)
+            assert is_normal(G, closure.members)
             recorded = G.generators if closure.order == n else tuple(sorted(set(seed) - {0}))
             assert closure.generators == recorded, (spec, seed)
 
@@ -307,13 +306,11 @@ def test_normal_scan_builds_no_square_list():
 
 
 def test_generated_subgroup(grp):
-    G = grp("D12")
-    rot = generated_subgroup(G, (1,))
-    assert rot.order == 6
-    assert rot.members == (0, 1, 2, 3, 4, 5)
-    assert generated_subgroup(G, ()).members == (0,)
-    full = generated_subgroup(G, (1, 6))
-    assert full.order == 12
+    """Each lattice subgroup is generated by the generators it records."""
+    for spec in ("D12", "S4", "Q8xC3"):
+        G = grp(spec)
+        for H in get_lattice(G).subgroups:
+            assert generated(G, H.generators) == H.members, (spec, H)
 
 
 def test_subgroups_of_order(grp):
@@ -324,8 +321,8 @@ def test_subgroups_of_order(grp):
 
 def test_subgroup_value_semantics(grp):
     G = grp("C6")
-    a = generated_subgroup(G, (2,))
-    b = Subgroup.from_members((0, 2, 4), (2,))
+    a = next(s for s in get_lattice(G).subgroups if s.order == 3)
+    b = Subgroup.from_members((0, 2, 4), (4,))
     assert a == b and hash(a) == hash(b)
     trivial = Subgroup.from_members((0,), ())
     assert a.contains(trivial) and not trivial.contains(a)
@@ -349,7 +346,8 @@ def test_lattice_json_export(grp):
 def test_conjugation_maps_are_built_once_per_group():
     G = build_group("S4")
     maps = lattice._conjugation_maps(G)
-    assert maps == [[G.conjugate(g, x) for x in range(G.order)] for g in G.generators]
+    T = G.table
+    assert maps == [[T[T[g, x], G.inverse[g]] for x in range(G.order)] for g in G.generators]
     element_conjugacy_classes(G)
     normal_subgroups_direct(G)
     assert lattice._conjugation_maps(G) is maps
