@@ -1,11 +1,11 @@
 """Structural predicates feeding the covering decision rules.
 
-Everything here works directly on multiplication tables.  Nilpotency uses
-the upper central series (iterated center quotients).  The elementary
-abelian quotient helpers expose, for a prime p, the largest exponent-p
-abelian quotient together with its index-p subgroup pullbacks; those give
-covering certificates for p-groups and nilpotent groups without touching
-the full subgroup lattice.
+Everything here works directly on multiplication tables.  Nilpotency is
+read from the cached element orders by counting Sylow subgroups.  The
+elementary abelian quotient helpers expose, for a prime p, the largest
+exponent-p abelian quotient together with its index-p subgroup pullbacks;
+those give covering certificates for p-groups and nilpotent groups without
+touching the full subgroup lattice.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, exponent, factorize, quotient, smallest_prime_divisor
+from .groups import GroupTable, _is_prime, exponent, factorize, quotient, smallest_prime_divisor
 from .lattice import Subgroup, element_conjugacy_classes, normal_closure
 
 __all__ = [
@@ -68,15 +68,13 @@ def center_members(G: GroupTable) -> tuple[int, ...]:
 
 
 def is_nilpotent(G: GroupTable) -> bool:
-    """Upper central series: keep quotienting by the center until stable."""
-    current = G
-    while True:
-        z = center_members(current)
-        if len(z) == current.order:
-            return True
-        if len(z) == 1:
-            return False
-        current, _ = quotient(current, z)
+    """Each Sylow subgroup is normal: exactly p^a elements have order dividing p^a.
+
+    This is tested for each p^a exactly dividing |G|: a normal Sylow p-subgroup
+    holds every such element, and two distinct ones hold more than p^a of them.
+    """
+    orders = np.array(G.element_orders())
+    return all(np.count_nonzero(p**a % orders == 0) == p**a for p, a in factorize(G.order).items())
 
 
 def is_simple(G: GroupTable) -> bool:
@@ -93,9 +91,9 @@ def is_simple(G: GroupTable) -> bool:
     if n == 1:
         return False
     if is_abelian(G):
-        return factorize(n) == {n: 1}
+        return _is_prime(n)
     orders = G.element_orders()
-    prime = [c for c in element_conjugacy_classes(G)[1:] if smallest_prime_divisor(orders[c[0]]) == orders[c[0]]]
+    prime = [c for c in element_conjugacy_classes(G)[1:] if _is_prime(orders[c[0]])]
     return all(normal_closure(G, c[:1]).order == n for c in sorted(prime, key=len))
 
 
@@ -117,20 +115,16 @@ class StructureReport:
 
 
 def structure_report(G: GroupTable) -> StructureReport:
-    cyc = is_cyclic(G)
-    ab = cyc or is_abelian(G)
     p = p_group_prime(G)
     center = center_members(G)
-    # G is nilpotent iff G/Z(G) is; a nontrivial nilpotent group has Z > 1.
-    nil = ab or (p is not None) or (len(center) > 1 and is_nilpotent(quotient(G, center)[0]))
     return StructureReport(
         order=G.order,
         exponent=exponent(G),
-        is_cyclic=cyc,
-        is_abelian=ab,
+        is_cyclic=is_cyclic(G),
+        is_abelian=len(center) == G.order,
         is_p_group=p is not None,
         p=p,
-        is_nilpotent=nil,
+        is_nilpotent=is_nilpotent(G),
         is_simple=is_simple(G),
         order_is_square_free=is_square_free_distinct_primes(G.order),
         smallest_prime_divisor=None if G.order == 1 else smallest_prime_divisor(G.order),

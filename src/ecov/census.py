@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import is_abelian, is_nilpotent, is_simple, is_square_free_distinct_primes, smallest_prime_divisor
+from .analysis import is_abelian, is_nilpotent, is_simple, is_square_free_distinct_primes
 from .covering import FULL_LATTICE_LIMIT, decide, decide_with_hints, load_hints
 from .errors import EcovError, UnknownFormat
 from .groups import GroupSpec, _is_prime, build_group, exponent, parse_group_spec, spec_order
@@ -207,7 +207,7 @@ def _hint_nilpotent(order: int, maximal_orders: list[int]) -> bool | None:
     # hold, so the undisproved case stays unknown.
     for m in maximal_orders:
         index = order // m
-        if index >= 2 and smallest_prime_divisor(index) != index:
+        if index >= 2 and not _is_prime(index):
             return False
     return None
 

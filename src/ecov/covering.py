@@ -26,7 +26,6 @@ from functools import partial
 import numpy as np
 
 from .analysis import (
-    elementary_abelian_quotient,
     factorize,
     index_p_subgroups,
     is_cyclic,
@@ -48,6 +47,7 @@ from .lattice import (
     FULL_LATTICE_LIMIT,
     Subgroup,
     SubgroupLattice,
+    _mask,
     get_lattice,
     maximal_subgroups,
     normal_subgroups_direct,
@@ -191,13 +191,6 @@ def _is_subgroup(G: GroupTable, members: tuple[int, ...]) -> bool:
     inside = np.zeros(G.order, dtype=bool)
     inside[m] = True
     return bool(inside[G.table[np.ix_(m, m)]].all())
-
-
-def _mask(members) -> int:
-    m = 0
-    for x in members:
-        m |= 1 << x
-    return m
 
 
 def verify_certificate(G: GroupTable, cert: Certificate) -> CertificateReport:
@@ -376,10 +369,11 @@ def _p_group(G: GroupTable, pull_back):
 def _nilpotent(G: GroupTable, pull_back):
     if not is_nilpotent(G):
         return None
-    for q in sorted(factorize(G.order)):
-        rank, _ = elementary_abelian_quotient(G, q)
-        if rank >= 2:
-            return "Yes", Certificate("EqualCovering", tuple(index_p_subgroups(G, q)))
+    # Rank k gives (q^k - 1)/(q - 1) index-q subgroups, so more than one means k >= 2.
+    for q in factorize(G.order):
+        members = index_p_subgroups(G, q)
+        if len(members) > 1:
+            return "Yes", Certificate("EqualCovering", tuple(members))
     return None
 
 

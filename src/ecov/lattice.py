@@ -45,6 +45,13 @@ __all__ = [
 FULL_LATTICE_LIMIT = 1500
 
 
+def _mask(members) -> int:
+    m = 0
+    for x in members:
+        m |= 1 << x
+    return m
+
+
 class Subgroup:
     """A subgroup as a bitmask plus its sorted members."""
 
@@ -59,10 +66,7 @@ class Subgroup:
     @classmethod
     def from_members(cls, members, generators=()) -> "Subgroup":
         mem = tuple(sorted(members))
-        mask = 0
-        for m in mem:
-            mask |= 1 << m
-        return cls(mask, mem, tuple(generators))
+        return cls(_mask(mem), mem, tuple(generators))
 
     def contains(self, other: "Subgroup") -> bool:
         return self.mask & other.mask == other.mask

@@ -1,14 +1,15 @@
 """Shared fixtures, and small oracles that read the table directly.
 
 The oracles compute by definition what the tests compare the engine with:
-a generated subgroup, normality and a Klein four quotient.
+a generated subgroup, normality, a Klein four quotient and nilpotence by
+the upper central series.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from ecov.analysis import is_cyclic
+from ecov.analysis import center_members, is_cyclic
 from ecov.groups import GroupTable, build_group, quotient
 from ecov.lattice import Subgroup, get_lattice
 
@@ -55,3 +56,14 @@ def klein_quotient(G: GroupTable) -> Subgroup | None:
         if normal and 4 * H.order == G.order and not is_cyclic(quotient(G, H.members)[0]):
             return H
     return None
+
+
+def nilpotent_by_upper_central_series(G: GroupTable) -> bool:
+    """Whether quotienting by the center again and again reaches the trivial group."""
+    while True:
+        z = center_members(G)
+        if len(z) == G.order:
+            return True
+        if len(z) == 1:
+            return False
+        G, _ = quotient(G, z)

@@ -29,7 +29,7 @@ from ecov.gf import factor_prime_power
 from ecov.groups import _is_prime, build_group, exponent
 from ecov.lattice import get_lattice
 
-from conftest import generated, klein_quotient
+from conftest import generated, klein_quotient, nilpotent_by_upper_central_series
 
 # ---------------------------------------------------------------------------
 # Integer helpers
@@ -191,6 +191,25 @@ def test_nilpotence_matches_sylow_normality_up_to_60(grp):
         assert is_nilpotent(G) is expected, entry.display
         # The lattice is the reference for the table-only simplicity test.
         assert (sum(L.normal_flags) == 2) is is_simple(G), entry.display
+
+
+def test_nilpotence_matches_the_upper_central_series():
+    specs = [entry.spec for entry in catalog(240)]
+    specs += ["D1920", "D3840", "Dic480", "Dic960", "C2xA5", "S4xC2", "E(2,8)", "C1600"]
+    for spec in specs:
+        G = build_group(spec)
+        assert is_nilpotent(G) is nilpotent_by_upper_central_series(G), spec
+
+
+@pytest.mark.parametrize("spec,nilpotent", [("D1920", False), ("Dic480", False), ("C2xA5", False), ("Q8xC3", True)])
+def test_nilpotence_builds_no_quotient(grp, monkeypatch, spec, nilpotent):
+    def no_quotient(*args):
+        raise AssertionError("quotient called")
+
+    monkeypatch.setattr(analysis, "quotient", no_quotient)
+    G = grp(spec)
+    assert is_nilpotent(G) is nilpotent
+    assert structure_report(G).is_nilpotent is nilpotent
 
 
 def test_klein_quotient_detection(grp):

@@ -40,7 +40,7 @@ from ecov.errors import (
     SearchBudgetExceeded,
     SpecError,
 )
-from ecov.groups import build_group, exponent, semidirect_product
+from ecov.groups import _is_prime, build_group, exponent, semidirect_product
 from ecov.lattice import get_lattice, maximal_subgroups
 
 HINTS_DIR = "src/ecov/data/hints"
@@ -260,6 +260,26 @@ def test_yes_decisions_by_rule(grp, spec, method, order):
     assert cert is not None and cert.mode == "EqualCovering"
     assert {len(m) for m in cert.members} == {order}
     assert verify_certificate(G, cert).ok
+
+
+def test_nilpotent_certificate_is_the_least_prime_with_several_normal_index_q_subgroups():
+    """T19's members are the normal index-q subgroups of the lattice, for q the
+    least prime with more than one of them."""
+    decided = 0
+    for entry in catalog(120):
+        G = build_group(entry.spec)
+        d = decide(G)
+        if d.method != "RuleT19_Nilpotent":
+            continue
+        L = get_lattice(G)
+        normal = {}
+        for H, flag in zip(L.subgroups, L.normal_flags):
+            if flag and _is_prime(G.order // H.order):
+                normal.setdefault(G.order // H.order, []).append(H.members)
+        q = min(q for q, members in normal.items() if len(members) > 1)
+        assert sorted(d.certificate.members) == sorted(normal[q]), entry.display
+        decided += 1
+    assert decided == 66
 
 
 @pytest.mark.parametrize("spec,factor", [("D12xC3", "A"), ("C3xD12", "B"), ("D8xD12", "A")])
