@@ -139,7 +139,8 @@ def _parse_token(token: str) -> GroupSpec:
             raise MalformedParameter(f"{family} degree must be >= 1")
         if family == "elementary":
             p, k = params
-            if not _is_prime(p):
+            # Above MAX_ORDER the order check answers; trial division of a huge p takes minutes.
+            if p <= MAX_ORDER and not _is_prime(p):
                 raise MalformedParameter(f"E(p,k) needs prime p, got {p}")
             if k < 1:
                 raise MalformedParameter("E(p,k) needs k >= 1")

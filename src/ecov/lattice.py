@@ -4,7 +4,9 @@ Subgroups are stored as bitmasks over element indices plus sorted member
 tuples.  The full lattice is found by cyclic extension up to conjugacy
 (Neubueser's method): only one representative per conjugacy class is
 extended, by the least element of each right coset it does not cover, and
-each new subgroup's class is filled in from the conjugation maps.  Both
+each new subgroup's class is filled in from the conjugation maps.  For x
+normalising H, <H, x^-1 g x> = x^-1 <H, g> x lies in the class of <H, g>,
+so only one coset Hg per orbit of the normaliser N_G(H) is extended.  Both
 annotations come out of the enumeration: a subgroup is normal exactly when
 its class has one member, and a proper subgroup is maximal exactly when
 every extension of its class representative is the whole group.
@@ -155,6 +157,11 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     extension of R, so extending representatives reaches every class.  When
     an extension is new, a BFS over the conjugation maps adds its whole class.
 
+    In a non-abelian group, when |N_G(H)| = n / |class of H| exceeds |H|, H is
+    extended by one coset minimum per N_G(H)-orbit on the cosets Hg: for x in
+    N_G(H), <H, x^-1 g x> = x^-1 <H, g> x is proper exactly when <H, g> is,
+    and its class was added with <H, g>, so the lattice and flags are unchanged.
+
     A proper H is maximal exactly when each of these extensions is G.  For
     H < K < G, take g in K outside H: the least element of the coset Hg is
     some h*g, so it lies in K and its extension lies in K.  Maximality is
@@ -169,6 +176,7 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     ints = np.arange(n).astype(object)
     cols = [ints[c].tolist() for c in G.table.T]  # n shared ints, not n^2 fresh ones
     identity = list(range(n))
+    inv = G.inverse
     maps = [cmap for cmap in _conjugation_maps(G) if cmap != identity]
     seen: dict[int, Subgroup] = {}
     orbits: list[list[Subgroup]] = []
@@ -204,6 +212,22 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
             minima.append(g)
             for h in H.members:
                 covered |= 1 << cols[g][h]
+        if maps and n > H.order * len(orbit):  # |N_G(H)| = n / |class of H| > |H|
+            label = [0] * n  # the least element of each coset Hy
+            normaliser = list(H.members)  # cosets Hg whose g maps H's generators into H
+            for g in minima:
+                coset = [cols[g][h] for h in H.members]
+                for y in coset:
+                    label[y] = g
+                if all(H.mask >> cols[g][cols[h][inv[g]]] & 1 for h in H.generators):
+                    normaliser += coset
+            conj = [(cols[x], inv[x]) for x in normaliser]  # x^-1 g x is cols[x][cols[g][inv[x]]]
+            kept, reached = [], set()
+            for g in minima:
+                if g not in reached:
+                    kept.append(g)
+                    reached.update([label[cx[cols[g][ix]]] for cx, ix in conj])
+            minima = kept
         any_proper = False
         for g in minima:
             gens = H.generators + (g,)

@@ -1,8 +1,9 @@
 """Shared fixtures, and small oracles that read the table directly.
 
 The oracles compute by definition what the tests compare the engine with:
-a generated subgroup, normality, a Klein four quotient and nilpotence by
-the upper central series.
+a generated subgroup, normality, a Klein four quotient, nilpotence by the
+upper central series and the subgroup lattice by extending each class
+representative by every coset minimum.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from ecov.analysis import center_members, is_cyclic
-from ecov.groups import GroupTable, build_group, quotient
-from ecov.lattice import Subgroup, get_lattice
+from ecov.groups import GroupTable, _close, build_group, quotient
+from ecov.lattice import Subgroup, SubgroupLattice, get_lattice
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,50 @@ def nilpotent_by_upper_central_series(G: GroupTable) -> bool:
         if len(z) == 1:
             return False
         G, _ = quotient(G, z)
+
+
+def lattice_by_every_coset_minimum(G: GroupTable) -> SubgroupLattice:
+    """The lattice by cyclic extension, with no normaliser-orbit cut.
+
+    Each class representative H is extended by the least element of every
+    right coset Hg outside H, and each new subgroup's class is filled in by
+    conjugating it, with its generators, by every element.  A proper H is
+    maximal exactly when each of its extensions is G.
+    """
+    n = G.order
+    T, inv = G.table.tolist(), G.inverse
+    cols = G.table.T.tolist()
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}  # members -> generators
+    orbits, maximal = [], set()
+
+    def add_class(members, gens) -> list[tuple[int, ...]]:
+        orbit = []
+        for x in range(n):
+            conj = tuple(sorted(T[T[x][m]][inv[x]] for m in members))
+            if conj not in seen:
+                seen[conj] = tuple(T[T[x][g]][inv[x]] for g in gens)
+                orbit.append(conj)
+        orbits.append([Subgroup.from_members(c) for c in orbit])
+        return orbit
+
+    worklist = [add_class((0,), ())]
+    while worklist:
+        orbit = worklist.pop()
+        H = orbit[0]
+        covered = set(H)
+        any_proper = False
+        for g in range(n):
+            if g in covered:
+                continue
+            covered.update(cols[g][h] for h in H)
+            gens = seen[H] + (g,)
+            K = tuple(sorted(_close([cols[x] for x in gens], (0,))))
+            any_proper = any_proper or len(K) < n
+            if K not in seen:
+                added = add_class(K, gens)
+                if len(K) < n:
+                    worklist.append(added)
+        if len(H) < n and not any_proper:
+            maximal.update(orbit)
+    subs = tuple(Subgroup.from_members(m) for m in sorted(seen, key=lambda m: (len(m), m)))
+    return SubgroupLattice(n, subs, orbits, tuple(s.members in maximal for s in subs))

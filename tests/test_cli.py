@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -367,8 +368,13 @@ def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys
         (["describe", "C" + "9" * 5000], 2, "error: cyclic parameter has too many digits\n"),
         (["describe", "S2000"], 3, "resource limit: S2000 has order at least 2^19052, above the limit 10000\n"),
         (["check", "E(2,20000)"], 3, "resource limit: E(2,20000) has order at least 2^20000, above the limit 10000\n"),
-        # A prime test past float range; 10^401 + 1 is divisible by 11.
-        (["describe", f"E({10**401 + 1},1)"], 2, f"error: E(p,k) needs prime p, got {10**401 + 1}\n"),
+        # p above the order limit skips the prime test, so a composite p
+        # (10^401 + 1 is divisible by 11) meets the order check instead.
+        (
+            ["describe", f"E({10**401 + 1},1)"],
+            3,
+            f"resource limit: E({10**401 + 1},1) has order {10**401 + 1}, above the limit 10000\n",
+        ),
         # Orders that print keep their decimal form.
         (["describe", "M12"], 3, "resource limit: M12 has order 95040, above the limit 10000\n"),
         (
@@ -382,6 +388,18 @@ def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys
 def test_huge_parameters_exit_2_or_3(capsys, args, code, message):
     assert cli.main(args) == code
     assert capsys.readouterr() == ("", message)
+
+
+def test_huge_prime_p_meets_the_order_limit_without_a_prime_test():
+    # Trial division of this p runs for minutes; the order check answers at once.
+    start = time.perf_counter()
+    proc = run("describe", "E(1000000000000000003,1)", timeout=20)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource limit: E(1000000000000000003,1) has order 1000000000000000003")
+    proc = run("describe", "E(4,2)")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: E(p,k) needs prime p, got 4\n"
 
 
 def test_lattice_limit_exit_3_and_flag_positions():

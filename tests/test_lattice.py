@@ -14,7 +14,7 @@ from ecov import lattice
 from ecov.analysis import is_abelian
 from ecov.census import catalog
 from ecov.errors import LatticeLimitExceeded
-from ecov.groups import build_group
+from ecov.groups import _close, build_group
 from ecov.lattice import (
     Subgroup,
     element_conjugacy_classes,
@@ -27,7 +27,7 @@ from ecov.lattice import (
     normal_subgroups_direct,
 )
 
-from conftest import generated, is_normal
+from conftest import generated, is_normal, lattice_by_every_coset_minimum
 
 
 def brute_force_subgroups(G) -> set[tuple[int, ...]]:
@@ -130,6 +130,8 @@ def test_lattice_cache_frees_the_group_without_the_cycle_collector():
         ("PSL(2,9)", 501, 22),
         ("PSL(2,8)", 386, 12),
         ("PSL(2,11)", 620, 16),
+        ("PSL(2,13)", 942, 16),
+        ("S6", 1455, 56),
     ],
 )
 def test_subgroup_and_class_counts_match_theory(grp, spec, subgroups, classes):
@@ -162,6 +164,33 @@ def test_lattice_masks_are_subgroups_and_classes_are_orbits():
             assert all(L.class_of[i] == cid for i in cls)
 
 
+def test_lattice_matches_extension_by_every_coset_minimum():
+    """Over catalog(64): one extension per normaliser orbit loses nothing."""
+    for entry in catalog(64):
+        G = build_group(entry.spec)
+        assert lattice_to_json(get_lattice(G)) == lattice_to_json(lattice_by_every_coset_minimum(G)), entry.display
+
+
+@pytest.mark.parametrize("spec", ["S5", "PSL(2,7)", "PSL(2,8)", "A6"])
+def test_simple_and_symmetric_lattices_match_extension_by_every_coset_minimum(grp, spec):
+    G = grp(spec)
+    assert lattice_to_json(get_lattice(G)) == lattice_to_json(lattice_by_every_coset_minimum(G))
+
+
+def test_psl_2_11_lattice_closes_one_extension_per_normaliser_orbit(monkeypatch):
+    # Extending by every coset minimum takes 2,092 closures here, 1,099 of
+    # them of extensions that are all of G.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return _close(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_close", counting)
+    enumerate_subgroups(build_group("PSL(2,11)"))
+    assert len(calls) <= 400
+
+
 def test_lattice_limit_enforced():
     G = build_group("C1600")
     with pytest.raises(LatticeLimitExceeded):
@@ -190,6 +219,8 @@ def test_q8_maximal_subgroups(grp):
         ("A6", 52),  # 6 + 6 A5, 10 of order 36, 15 + 15 S4
         ("PSL(2,8)", 73),  # 9 of order 56, 28 D18, 36 D14
         ("PSL(2,11)", 89),  # 11 + 11 A5, 12 of order 55, 55 A4
+        ("PSL(2,13)", 274),  # 14 of order 78, 91 D12, 78 D14, 91 A4
+        ("S6", 53),  # A6, 6 + 6 S5, 10 S3 wr S2, 15 S4xS2, 15 S2 wr S3
         ("D12", 6),  # C6, 2 D6, 3 Klein four-groups
         ("Q8", 3),  # 3 cyclic of order 4
         ("E(2,6)", 63),  # hyperplanes: (p^k - 1)/(p - 1)
@@ -198,6 +229,21 @@ def test_q8_maximal_subgroups(grp):
 )
 def test_maximal_subgroup_counts_match_theory(grp, spec, count):
     assert len(maximal_subgroups(get_lattice(grp(spec)))) == count
+
+
+def test_psl_2_13_maximal_subgroups_by_order_and_largest_element_order(grp):
+    """14 Borel subgroups 13:6, 91 D12, 78 D14 and 91 A4 (Dickson).
+
+    Each is self-normalising, so a class has 1092 / |M| members.  D12 and
+    A4 share their order; D12 has an element of order 6, A4 none.
+    """
+    G = grp("PSL(2,13)")
+    orders = G.element_orders()
+    shapes: dict[tuple[int, int], int] = {}
+    for M in maximal_subgroups(get_lattice(G)):
+        key = (M.order, max(orders[x] for x in M.members))
+        shapes[key] = shapes.get(key, 0) + 1
+    assert shapes == {(78, 13): 14, (12, 6): 91, (14, 7): 78, (12, 3): 91}
 
 
 def test_maximal_flags_match_the_definition():
