@@ -139,8 +139,7 @@ def _parse_token(token: str) -> GroupSpec:
             raise MalformedParameter(f"{family} degree must be >= 1")
         if family == "elementary":
             p, k = params
-            # Above MAX_ORDER the order check answers; trial division of a huge p takes minutes.
-            if p <= MAX_ORDER and not _is_prime(p):
+            if p <= MAX_ORDER and not _is_prime(p):  # a larger p meets the order check, not minutes of trial division
                 raise MalformedParameter(f"E(p,k) needs prime p, got {p}")
             if k < 1:
                 raise MalformedParameter("E(p,k) needs k >= 1")
@@ -180,7 +179,7 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def spec_order(spec: GroupSpec) -> int | None:
-    """Predicted order, or None for file-backed specs."""
+    """Predicted order, or None for file-backed specs; E(p,k) past 2^(2^20) raises OrderLimitExceeded."""
     if spec.family in _FAMILIES:
         return _FAMILIES[spec.family].order(*spec.params)
     if spec.family == "product":
@@ -494,6 +493,12 @@ def _build_dicyclic(n: int) -> GroupTable:
     return _make_group(table, meta, (1, m))
 
 
+def _elementary_order(p: int, k: int) -> int:
+    if k * p.bit_length() > 1 << 20:  # p**k would take 0.1 s and more; 2^(k * (bits of p - 1)) bounds it
+        raise OrderLimitExceeded(f"E({p},{k}) has order at least 2^{k * (p.bit_length() - 1)}, above the limit {MAX_ORDER}")
+    return p**k
+
+
 def _build_elementary(p: int, k: int) -> GroupTable:
     n = p**k
     weights = p ** np.arange(k, dtype=np.int64)
@@ -792,7 +797,7 @@ _FAMILIES: dict[str, _Family] = {
         re.compile(r"^A(\d+)$"), "A{}", lambda n: max(1, math.factorial(n) // 2), _build_alternating
     ),
     "elementary": _Family(
-        re.compile(r"^E\((\d+),(\d+)\)$"), "E({},{})", lambda p, k: p**k, _build_elementary
+        re.compile(r"^E\((\d+),(\d+)\)$"), "E({},{})", _elementary_order, _build_elementary
     ),
     "psl2": _Family(re.compile(r"^PSL\(2,(\d+)\)$"), "PSL(2,{})", _psl2_order, _build_psl2),
     "mathieu": _Family(

@@ -157,10 +157,10 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     extension of R, so extending representatives reaches every class.  When
     an extension is new, a BFS over the conjugation maps adds its whole class.
 
-    In a non-abelian group, when |N_G(H)| = n / |class of H| exceeds |H|, H is
-    extended by one coset minimum per N_G(H)-orbit on the cosets Hg: for x in
-    N_G(H), <H, x^-1 g x> = x^-1 <H, g> x is proper exactly when <H, g> is,
-    and its class was added with <H, g>, so the lattice and flags are unchanged.
+    In a non-abelian group, H is extended by one coset minimum per orbit of
+    N_G(H) on the cosets Hg: for x in N_G(H), <H, x^-1 g x> = x^-1 <H, g> x
+    is proper exactly when <H, g> is, and its class was added with <H, g>,
+    so the lattice and flags are unchanged.  For x in H the orbit is HgH.
 
     A proper H is maximal exactly when each of these extensions is G.  For
     H < K < G, take g in K outside H: the least element of the coset Hg is
@@ -199,8 +199,7 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
         orbits.append(orbit)
         return orbit
 
-    trivial = Subgroup.from_members((0,), ())
-    worklist = [add_class(trivial)]
+    worklist = [add_class(Subgroup.from_members((0,), ()))]
     while worklist:
         orbit = worklist.pop()
         H = orbit[0]
@@ -212,21 +211,17 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
             minima.append(g)
             for h in H.members:
                 covered |= 1 << cols[g][h]
-        if maps and n > H.order * len(orbit):  # |N_G(H)| = n / |class of H| > |H|
-            label = [0] * n  # the least element of each coset Hy
-            normaliser = list(H.members)  # cosets Hg whose g maps H's generators into H
-            for g in minima:
-                coset = [cols[g][h] for h in H.members]
-                for y in coset:
-                    label[y] = g
-                if all(H.mask >> cols[g][cols[h][inv[g]]] & 1 for h in H.generators):
-                    normaliser += coset
-            conj = [(cols[x], inv[x]) for x in normaliser]  # x^-1 g x is cols[x][cols[g][inv[x]]]
+        if maps and len(minima) > 1:
+            index = n // (H.order * len(orbit))  # |N_G(H) : H|
+            known = index in (1, len(minima) + 1)  # N_G(H) is H or G; else Hg lies in it when g^-1 H g = H
+            normalising = [g for g in [0, *minima] if known or all(H.mask >> cols[g][cols[h][inv[g]]] & 1 for h in H.generators)]
+            label = {cols[g][h]: g for g in minima for h in H.members}  # the least element of each coset Hy outside H
+            conj = [(cols[x], inv[x]) for g in normalising[:index] for x in (cols[g][h] for h in H.members)]
             kept, reached = [], set()
             for g in minima:
                 if g not in reached:
                     kept.append(g)
-                    reached.update([label[cx[cols[g][ix]]] for cx, ix in conj])
+                    reached.update([label[cx[cols[g][ix]]] for cx, ix in conj])  # cosets of x^-1 g x
             minima = kept
         any_proper = False
         for g in minima:

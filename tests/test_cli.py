@@ -6,7 +6,6 @@ import json
 import shutil
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -375,6 +374,20 @@ def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys
             3,
             f"resource limit: E({10**401 + 1},1) has order {10**401 + 1}, above the limit 10000\n",
         ),
+        # Trial division of this prime p would run for minutes; p <= 10000 is still tested.
+        (
+            ["describe", "E(1000000000000000003,1)"],
+            3,
+            "resource limit: E(1000000000000000003,1) has order 1000000000000000003, above the limit 10000\n",
+        ),
+        (["describe", "E(4,2)"], 2, "error: E(p,k) needs prime p, got 4\n"),
+        # Past 2^20 bits p**k is not computed; 2^(k * (bit length of p - 1)) bounds it.
+        (
+            ["describe", f"E({10**401 + 1},100000)"],
+            3,
+            f"resource limit: E({10**401 + 1},100000) has order at least 2^133200000, above the limit 10000\n",
+        ),
+        (["check", "E(2,1000000000)"], 3, "resource limit: E(2,1000000000) has order at least 2^1000000000, above the limit 10000\n"),
         # Orders that print keep their decimal form.
         (["describe", "M12"], 3, "resource limit: M12 has order 95040, above the limit 10000\n"),
         (
@@ -383,23 +396,22 @@ def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys
             "resource limit: C99999999999999999999 has order 99999999999999999999, above the limit 10000\n",
         ),
     ],
-    ids=["C-5000-digits", "S2000", "E(2,20000)", "E-402-digit-p", "M12", "C-20-digits"],
+    ids=[
+        "C-5000-digits",
+        "S2000",
+        "E(2,20000)",
+        "E-402-digit-p",
+        "E-19-digit-prime-p",
+        "E(4,2)",
+        "E-402-digit-p-k-100000",
+        "E(2,1000000000)",
+        "M12",
+        "C-20-digits",
+    ],
 )
 def test_huge_parameters_exit_2_or_3(capsys, args, code, message):
     assert cli.main(args) == code
     assert capsys.readouterr() == ("", message)
-
-
-def test_huge_prime_p_meets_the_order_limit_without_a_prime_test():
-    # Trial division of this p runs for minutes; the order check answers at once.
-    start = time.perf_counter()
-    proc = run("describe", "E(1000000000000000003,1)", timeout=20)
-    assert time.perf_counter() - start < 2
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("resource limit: E(1000000000000000003,1) has order 1000000000000000003")
-    proc = run("describe", "E(4,2)")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: E(p,k) needs prime p, got 4\n"
 
 
 def test_lattice_limit_exit_3_and_flag_positions():
