@@ -211,7 +211,7 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
             minima.append(g)
             for h in H.members:
                 covered |= 1 << cols[g][h]
-        if maps and len(minima) > 1:
+        if maps and len(minima) > 1:  # a lone minimum is its own orbit
             index = n // (H.order * len(orbit))  # |N_G(H) : H|
             known = index in (1, len(minima) + 1)  # N_G(H) is H or G; else Hg lies in it when g^-1 H g = H
             normalising = [g for g in [0, *minima] if known or all(H.mask >> cols[g][cols[h][inv[g]]] & 1 for h in H.generators)]
