@@ -156,7 +156,7 @@ def _invariant_command(args) -> int:
 
 def _cmd_partition(args) -> int:
     G = build_group(args.spec)
-    exists, cert = equal_partition_exists(G, lattice_limit=args.lattice_limit)
+    exists, cert = equal_partition_exists(G)
     if exists:
         lines = [f"equal partition: yes — {_member_summary(cert)}"]
         if args.witness:

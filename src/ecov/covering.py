@@ -11,7 +11,8 @@ Every Yes, the exhaustive test's included, is returned with a
 certificate that is re-verified before leaving the engine.
 sigma/epsilon/rho compute the minimum sizes of coverings, equal coverings,
 and partitions by branch-and-bound searches whose witnesses are verified
-the same way.  The covering search has no greedy start: it counts only
+the same way; equal_partition_exists answers by Isaacs' theorem, with no
+search.  The covering search has no greedy start: it counts only
 covers smaller than the bound it is given.  A function that needs the
 subgroup lattice takes it from get_lattice, which caches it on the group.
 """
@@ -42,7 +43,7 @@ from .errors import (
     SearchBudgetExceeded,
     SpecError,
 )
-from .groups import GroupTable, _is_prime, _read_user_file, exponent, quotient
+from .groups import GroupTable, _read_user_file, exponent, quotient
 from .lattice import (
     FULL_LATTICE_LIMIT,
     Subgroup,
@@ -563,7 +564,7 @@ def _min_set_cover(
     ]
     element_sets.sort(key=lambda entry: len(entry[1]))
 
-    def dfs(covered: int, chosen: list[int]):
+    def dfs(covered: int, chosen: list[int], start: int):
         nonlocal best, best_sets
         budget.tick()
         remaining = target & ~covered
@@ -572,15 +573,16 @@ def _min_set_cover(
         if remaining == 0:
             best, best_sets = len(chosen), tuple(chosen)
             return
-        cands = next(c for x, c in element_sets if (remaining >> x) & 1)
-        for i in sorted(cands, key=lambda i: -(masks[i] & remaining).bit_count()):
+        # element_sets[:start] is covered: each ancestor covered the element it branched on
+        pos = next(k for k in range(start, len(element_sets)) if (remaining >> element_sets[k][0]) & 1)
+        for i in sorted(element_sets[pos][1], key=lambda i: -(masks[i] & remaining).bit_count()):
             chosen.append(i)
-            dfs(covered | masks[i], chosen)
+            dfs(covered | masks[i], chosen, pos + 1)
             chosen.pop()
             if best <= stop_at:
                 return
 
-    dfs(0, [])
+    dfs(0, [], 0)
     return None if best_sets is None else (best, best_sets)
 
 
@@ -742,40 +744,21 @@ def rho(
     return value, _witness(G, "Partition", "rho", [blocks[i] for i in chosen])
 
 
-def equal_partition_exists(
-    G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT
-) -> tuple[bool, Certificate | None]:
+def equal_partition_exists(G: GroupTable) -> tuple[bool, Certificate | None]:
     """Is there a partition whose members all share one order?
 
-    Candidate orders d must be proper divisors with exp(G) | d (a partition
-    is a covering) and (d-1) | (|G|-1) (the blocks tile the non-identity
-    elements).  For prime d, distinct subgroups automatically intersect
-    trivially, so existence reduces to the union test.  With no candidate
-    order the answer is No at any order, before the search limit and the
-    lattice.
+    Isaacs ("Equally partitioned groups", Pacific J. Math. 49, 1973): a
+    finite group has a nontrivial equal partition exactly when it is a
+    non-cyclic p-group of exponent p, and then its subgroups of order p form
+    one.  Each is {1, x, ..., x^(p-1)} for a non-identity x, read from the
+    table, so no lattice or search is needed at any order.
     """
-    if is_cyclic(G):
+    p = p_group_prime(G)
+    if p is None or exponent(G) != p or G.order == p:  # exponent p: cyclic only at order p
         return False, None
-    n = G.order
-    candidates = [d for d in qualifying_divisors(n, exponent(G)) if (n - 1) % (d - 1) == 0]
-    if not candidates:
-        return False, None
-    if n > PARTITION_SEARCH_LIMIT:
-        raise SearchBudgetExceeded(
-            f"partition search is limited to order {PARTITION_SEARCH_LIMIT}, got {n}"
-        )
-    L = get_lattice(G, lattice_limit)
-    full = (1 << n) - 1
-    for d in candidates:
-        fams = _covering_family(L, d)
-        if fams is None:
-            continue
-        if not _is_prime(d):
-            masks = [s.mask & ~1 for s in fams]
-            # every exact cover by order-d blocks has (n-1)/(d-1) members
-            found = _min_exact_cover(masks, full & ~1, (n - 1) // (d - 1), _Budget(_SEARCH_NODE_BUDGET))
-            if found is None:
-                continue
-            fams = [fams[i] for i in found[1]]
-        return True, _witness(G, "EqualPartition", "equal_partition_exists", fams)
-    return False, None
+    x = np.arange(G.order)
+    powers = [np.zeros_like(x), x]
+    for _ in range(p - 2):
+        powers.append(G.table[powers[-1], x])
+    blocks = {Subgroup.from_members(c) for c in np.vstack(powers).T[1:].tolist()}  # <x> for each x != 1; equal ones merge
+    return True, _witness(G, "EqualPartition", "equal_partition_exists", blocks)

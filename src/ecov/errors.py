@@ -97,7 +97,7 @@ class LatticeLimitExceeded(ResourceLimitExceeded):
 
 
 class SearchBudgetExceeded(ResourceLimitExceeded):
-    """A partition search exceeded its configured order or node budget."""
+    """A search exceeded its node budget, or rho's order limit refused the group."""
 
 
 class UndefinedForOne(EcovError):

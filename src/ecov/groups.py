@@ -179,7 +179,7 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def spec_order(spec: GroupSpec) -> int | None:
-    """Predicted order, or None for file-backed specs; E(p,k) past 2^(2^20) raises OrderLimitExceeded."""
+    """Predicted order, or None for file-backed specs; huge E(p,k), S<n> and A<n> raise OrderLimitExceeded."""
     if spec.family in _FAMILIES:
         return _FAMILIES[spec.family].order(*spec.params)
     if spec.family == "product":
@@ -493,6 +493,14 @@ def _build_dicyclic(n: int) -> GroupTable:
     return _make_group(table, meta, (1, m))
 
 
+def _symmetric_order(n: int, alternating: bool = False) -> int:
+    """n!, or max(1, n!/2) for A<n>; past 2^14 points a lower bound is raised instead."""
+    if n > 1 << 14:  # n! would take 10 ms and more; its top n - n//2 factors are each >= n//2
+        bound = (n - n // 2) * ((n // 2).bit_length() - 1) - alternating
+        raise OrderLimitExceeded(f"{'A' if alternating else 'S'}{n} has order at least 2^{bound}, above the limit {MAX_ORDER}")
+    return max(1, math.factorial(n) // 2) if alternating else math.factorial(n)
+
+
 def _elementary_order(p: int, k: int) -> int:
     if k * p.bit_length() > 1 << 20:  # p**k would take 0.1 s and more; 2^(k * (bits of p - 1)) bounds it
         raise OrderLimitExceeded(f"E({p},{k}) has order at least 2^{k * (p.bit_length() - 1)}, above the limit {MAX_ORDER}")
@@ -792,9 +800,9 @@ _FAMILIES: dict[str, _Family] = {
     "cyclic": _Family(re.compile(r"^C(\d+)$"), "C{}", lambda n: n, _build_cyclic),
     "dihedral": _Family(re.compile(r"^D(\d+)$"), "D{}", lambda m: m, _build_dihedral),
     "dicyclic": _Family(re.compile(r"^DIC(\d+)$"), "Dic{}", lambda n: 4 * n, _build_dicyclic),
-    "symmetric": _Family(re.compile(r"^S(\d+)$"), "S{}", math.factorial, _build_symmetric),
+    "symmetric": _Family(re.compile(r"^S(\d+)$"), "S{}", _symmetric_order, _build_symmetric),
     "alternating": _Family(
-        re.compile(r"^A(\d+)$"), "A{}", lambda n: max(1, math.factorial(n) // 2), _build_alternating
+        re.compile(r"^A(\d+)$"), "A{}", lambda n: _symmetric_order(n, alternating=True), _build_alternating
     ),
     "elementary": _Family(
         re.compile(r"^E\((\d+),(\d+)\)$"), "E({},{})", _elementary_order, _build_elementary

@@ -2,8 +2,8 @@
 
 The oracles compute by definition what the tests compare the engine with:
 a generated subgroup, normality, a Klein four quotient, nilpotence by the
-upper central series and the subgroup lattice by extending each class
-representative by every coset minimum.
+upper central series, the subgroup lattice by extending each class
+representative by every coset minimum, and equal partitions by search.
 """
 
 from __future__ import annotations
@@ -11,7 +11,16 @@ from __future__ import annotations
 import pytest
 
 from ecov.analysis import center_members, is_cyclic
-from ecov.groups import GroupTable, _close, build_group, quotient
+from ecov.covering import (
+    _SEARCH_NODE_BUDGET,
+    Certificate,
+    _Budget,
+    _covering_family,
+    _min_exact_cover,
+    _witness,
+    qualifying_divisors,
+)
+from ecov.groups import GroupTable, _close, _is_prime, build_group, exponent, quotient
 from ecov.lattice import Subgroup, SubgroupLattice, get_lattice
 
 
@@ -115,3 +124,32 @@ def lattice_by_every_coset_minimum(G: GroupTable) -> SubgroupLattice:
             maximal.update(orbit)
     subs = tuple(Subgroup.from_members(m) for m in sorted(seen, key=lambda m: (len(m), m)))
     return SubgroupLattice(n, subs, orbits, tuple(s.members in maximal for s in subs))
+
+
+def equal_partition_by_search(G: GroupTable) -> tuple[bool, Certificate | None]:
+    """Equal partitions by search over the subgroup lattice, with no theorem.
+
+    Candidate orders d are proper divisors with exp(G) | d (a partition is a
+    covering) and (d-1) | (|G|-1) (the blocks tile the non-identity
+    elements).  Distinct subgroups of prime order d meet trivially, so the
+    union test decides d; a composite d runs the exact-cover search over the
+    order-d subgroups.  The witness is the first order's blocks, sorted.
+    """
+    if is_cyclic(G):
+        return False, None
+    n = G.order
+    nonidentity = ((1 << n) - 1) & ~1
+    for d in qualifying_divisors(n, exponent(G)):
+        if (n - 1) % (d - 1):
+            continue
+        fams = _covering_family(get_lattice(G), d)
+        if fams is None:
+            continue
+        if not _is_prime(d):
+            masks = [s.mask & ~1 for s in fams]
+            found = _min_exact_cover(masks, nonidentity, (n - 1) // (d - 1), _Budget(_SEARCH_NODE_BUDGET))
+            if found is None:
+                continue
+            fams = [fams[i] for i in found[1]]
+        return True, _witness(G, "EqualPartition", "equal_partition_by_search", fams)
+    return False, None

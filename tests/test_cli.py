@@ -451,6 +451,29 @@ def test_epsilon_and_partition_answer_from_the_exponent_alone(monkeypatch, capsy
     assert capsys.readouterr().out == "equal partition: none for D3002\n"
 
 
+def test_partition_answers_at_any_order_without_a_lattice(monkeypatch, capsys):
+    """Isaacs' criterion reads the table alone: E(2,7) and E(3,5), of order
+    above the rho search limit, answer Yes with their order-p subgroups."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subgroup lattice was enumerated")
+
+    monkeypatch.setattr(lattice, "enumerate_subgroups", refuse)
+    assert cli.main(["partition", "E(2,7)"]) == 0
+    assert capsys.readouterr() == ("equal partition: yes — 127 subgroups of order 2\n", "")
+    assert cli.main(["partition", "E(3,5)"]) == 0
+    assert capsys.readouterr() == ("equal partition: yes — 121 subgroups of order 3\n", "")
+
+
+@pytest.mark.parametrize("spec,bound", [("S10000000", 110000000), ("A10000000", 109999999)])
+def test_huge_degree_exits_3_without_the_factorial(spec, bound):
+    """(10^7)! would take minutes; the order check needs only the bound
+    n! >= (n//2)^(n - n//2) >= 2^((n - n//2) * (bits of n//2 - 1))."""
+    proc = run("describe", spec, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == f"resource limit: {spec} has order at least 2^{bound}, above the limit 10000\n"
+
+
 def test_check_rejects_non_associative_cayley_file(tmp_path):
     # C1024 with one intercalate swapped: Latin, identity 0, two-sided
     # inverses, and only associativity fails.

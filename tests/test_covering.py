@@ -43,6 +43,8 @@ from ecov.errors import (
 from ecov.groups import _is_prime, build_group, exponent, semidirect_product
 from ecov.lattice import get_lattice, maximal_subgroups
 
+from conftest import equal_partition_by_search
+
 HINTS_DIR = "src/ecov/data/hints"
 
 # ---------------------------------------------------------------------------
@@ -671,11 +673,13 @@ def test_rho_size_guard():
     G = build_group("D202")
     with pytest.raises(SearchBudgetExceeded):
         rho(G)
-    # exp(D202) = 202 divides no proper divisor, so no equal partition can
-    # exist whatever the order; E(3,5) has the candidate order 3 (2 | 242).
+    # The rho order limit does not bind the equal-partition answer.
     assert equal_partition_exists(G) == (False, None)
-    with pytest.raises(SearchBudgetExceeded):
-        equal_partition_exists(build_group("E(3,5)"))
+    E35 = build_group("E(3,5)")
+    got, cert = equal_partition_exists(E35)
+    assert got is True and len(cert.members) == (3**5 - 1) // 2
+    assert {len(m) for m in cert.members} == {3}
+    assert verify_certificate(E35, cert).ok
 
 
 @pytest.mark.parametrize(
@@ -703,6 +707,56 @@ def test_equal_partition_exists(grp, spec, expect):
         assert verify_certificate(G, cert).ok
     else:
         assert cert is None
+
+
+def _order_27_groups(grp):
+    """E(3,3), C3xC9, C27, the Heisenberg group (exponent 3) and C9:C3 (exponent 9)."""
+    E32, C3, C9 = grp("E(3,2)"), grp("C3"), grp("C9")
+    # k acts on a + 3b (a, b the coordinates of E(3,2)) by the shear a -> a + k*b.
+    shears = [tuple((a + k * b) % 3 + 3 * b for b in range(3) for a in range(3)) for k in range(3)]
+    heisenberg = semidirect_product(E32, C3, shears)
+    c9_c3 = semidirect_product(C9, C3, [tuple(4**k * x % 9 for x in range(9)) for k in range(3)])
+    return [grp("E(3,3)"), grp("C3xC9"), grp("C27"), heisenberg, c9_c3]
+
+
+def test_order_27_equal_partitions_follow_the_exponent(grp):
+    E33, C3xC9, C27, heisenberg, c9_c3 = _order_27_groups(grp)
+    assert (exponent(heisenberg), exponent(c9_c3)) == (3, 9)
+    for G, members in ((E33, 13), (heisenberg, 13)):
+        got, cert = equal_partition_exists(G)
+        assert got is True and len(cert.members) == members and verify_certificate(G, cert).ok
+    for G in (C3xC9, C27, c9_c3):
+        assert equal_partition_exists(G) == (False, None)
+
+
+def test_equal_partition_matches_the_search_oracle(grp):
+    groups = [grp(e.spec.text()) for e in catalog(64)] + _order_27_groups(grp)
+    for G in groups:
+        assert equal_partition_exists(G) == equal_partition_by_search(G), G.meta.name
+
+
+def _has_equal_partition_by_brute_force(G) -> bool:
+    """Some order d has a set of order-d subgroups, from the power set, tiling the non-identity elements."""
+    n, rows = G.order, G.table.tolist()
+    subgroups = []
+    for bits in range(1, 1 << n, 2):  # the identity is in every subgroup
+        members = [x for x in range(n) if bits >> x & 1]
+        if 1 < len(members) < n and all(bits >> rows[a][b] & 1 for a in members for b in members):
+            subgroups.append(bits & ~1)
+
+    def tiles(blocks, left):
+        if not left:
+            return True
+        low = left & -left
+        return any(tiles(blocks, left & ~b) for b in blocks if b & low and b & left == b)
+
+    return any(tiles([b for b in subgroups if b.bit_count() == d - 1], ((1 << n) - 1) & ~1) for d in range(2, n))
+
+
+@pytest.mark.parametrize("spec", [e.spec.text() for e in catalog(16)])
+def test_equal_partition_matches_power_set_brute_force(grp, spec):
+    G = grp(spec)
+    assert equal_partition_exists(G)[0] is _has_equal_partition_by_brute_force(G)
 
 
 def test_equal_partition_certificate_for_klein(grp):
