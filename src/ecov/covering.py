@@ -10,11 +10,13 @@ pull-back step that decides a smaller image group and takes preimages.
 Every Yes, the exhaustive test's included, is returned with a
 certificate that is re-verified before leaving the engine.
 sigma/epsilon/rho compute the minimum sizes of coverings, equal coverings,
-and partitions by branch-and-bound searches whose witnesses are verified
-the same way; equal_partition_exists answers by Isaacs' theorem, with no
-search.  The covering search has no greedy start: it counts only
-covers smaller than the bound it is given.  A function that needs the
-subgroup lattice takes it from get_lattice, which caches it on the group.
+and partitions by one branch-and-bound search, _min_cover, whose witnesses
+are verified the same way.  Its partition mode differs only in keeping
+live the members disjoint from what is covered and in its branching pick.
+equal_partition_exists answers by Isaacs' theorem, with no search.  The
+search has no greedy start: it counts only covers smaller than the bound
+it is given.  A function that needs the subgroup lattice takes it from
+get_lattice, which caches it on the group.
 """
 from __future__ import annotations
 
@@ -212,9 +214,10 @@ def verify_certificate(G: GroupTable, cert: Certificate) -> CertificateReport:
             return CertificateReport(False, "NotASubgroup", (i,))
         if len(mem) >= n:
             return CertificateReport(False, "NotProper", (i,))
+    masks = [_mask(mem) for mem in members]
     union = 0
-    for mem in members:
-        union |= _mask(mem)
+    for m in masks:
+        union |= m
     if union != (1 << n) - 1:
         missing = next(x for x in range(n) if not (union >> x) & 1)
         return CertificateReport(False, "UnionIncomplete", (missing,))
@@ -223,8 +226,9 @@ def verify_certificate(G: GroupTable, cert: Certificate) -> CertificateReport:
         for i, mem in enumerate(members):
             if len(mem) != base:
                 return CertificateReport(False, "UnequalOrders", (0, i))
-    masks = [_mask(mem) for mem in members]
-    if cert.mode in ("Partition", "EqualPartition"):
+    # Subgroups whose union is G meet pairwise in the identity exactly when
+    # their orders less one sum to n - 1; only then is the pairwise scan skipped.
+    if cert.mode in ("Partition", "EqualPartition") and sum(len(mem) - 1 for mem in members) != n - 1:
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
                 if masks[i] & masks[j] != 1:
@@ -540,50 +544,74 @@ class _Budget:
             )
 
 
-def _min_set_cover(
-    masks: list[int],
-    target: int,
+def _min_cover(
+    family: list[Subgroup],
+    n: int,
     stop_at: int,
     budget: _Budget,
     bound: int | float = INFINITY,
-) -> tuple[int, tuple[int, ...]] | None:
-    """Exact minimum cover of target by the given masks among covers smaller than bound.
+    disjoint: bool = False,
+) -> tuple[int, tuple[Subgroup, ...]] | None:
+    """Fewest members of family covering G minus the identity, among covers smaller than bound.
 
-    None when no such cover exists, the target being uncoverable included.
-    stop_at is a proven lower bound: a solution of that size ends the search.
-    Branches on the uncovered element in the fewest masks, most new elements
-    first.  A chosen mask lies inside what is covered, so the candidates of
-    an uncovered element never include one.
+    disjoint asks for a partition: the chosen members meet pairwise in the
+    identity.  None when no such cover exists.  stop_at is a proven lower
+    bound: a solution of that size ends the search.  Each mode keeps the
+    branching that prunes best for it.  A cover branches on the uncovered
+    element in the fewest members, most new elements first (a chosen member
+    lies inside what is covered, so it is never a candidate again), and
+    prunes by the widest member.  A partition branches on the uncovered
+    element with the fewest live members (those disjoint from what is
+    covered), larger members first, and prunes by the widest live member.
     """
-    best, best_sets = bound, None
-    max_gain = max([1] + [(m & target).bit_count() for m in masks])  # 1 when no mask meets target
-    element_sets = [
-        (x, [i for i, m in enumerate(masks) if (m >> x) & 1])
-        for x in range(target.bit_length())
-        if (target >> x) & 1
-    ]
-    element_sets.sort(key=lambda entry: len(entry[1]))
+    if disjoint:
+        family = sorted(family, key=lambda s: -s.order)
+    target = ((1 << n) - 1) & ~1  # the identity is inside every subgroup
+    masks = [s.mask & target for s in family]
+    sizes = [m.bit_count() for m in masks]
+    max_gain = max([1] + sizes)  # 1 when no member meets the target
+    element_sets = [(x, [i for i, m in enumerate(masks) if (m >> x) & 1]) for x in range(1, n)]
+    if not disjoint:
+        element_sets.sort(key=lambda entry: len(entry[1]))
+    best, best_chosen = bound, None
 
     def dfs(covered: int, chosen: list[int], start: int):
-        nonlocal best, best_sets
+        nonlocal best, best_chosen
         budget.tick()
         remaining = target & ~covered
-        if len(chosen) + -(-remaining.bit_count() // max_gain) >= best:
-            return
         if remaining == 0:
-            best, best_sets = len(chosen), tuple(chosen)
+            if len(chosen) < best:
+                best, best_chosen = len(chosen), tuple(chosen)
             return
-        # element_sets[:start] is covered: each ancestor covered the element it branched on
-        pos = next(k for k in range(start, len(element_sets)) if (remaining >> element_sets[k][0]) & 1)
-        for i in sorted(element_sets[pos][1], key=lambda i: -(masks[i] & remaining).bit_count()):
+        if disjoint:
+            pick, widest = None, 0
+            for x, cands in element_sets:
+                if not (remaining >> x) & 1:
+                    continue
+                live = [i for i in cands if not masks[i] & covered]
+                if not live:
+                    return
+                widest = max(widest, sizes[live[0]])
+                if pick is None or len(live) < len(pick):
+                    pick = live
+            if len(chosen) + -(-remaining.bit_count() // widest) >= best:
+                return
+        else:
+            if len(chosen) + -(-remaining.bit_count() // max_gain) >= best:
+                return
+            # element_sets[:start] is covered: each ancestor covered the element it branched on
+            while not (remaining >> element_sets[start][0]) & 1:
+                start += 1
+            pick = sorted(element_sets[start][1], key=lambda i: -(masks[i] & remaining).bit_count())
+        for i in pick:
             chosen.append(i)
-            dfs(covered | masks[i], chosen, pos + 1)
+            dfs(covered | masks[i], chosen, start + 1)
             chosen.pop()
             if best <= stop_at:
                 return
 
     dfs(0, [], 0)
-    return None if best_sets is None else (best, best_sets)
+    return None if best_chosen is None else (best, tuple(family[i] for i in best_chosen))
 
 
 @dataclass(frozen=True)
@@ -612,14 +640,11 @@ def sigma(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> SigmaResult
         (3, "no group is the union of two proper subgroups"),
         (p + 1, f"no union of {p} or fewer proper subgroups covers (least prime {p})"),
     ]
-    maximals = maximal_subgroups(L)
-    masks = [s.mask for s in maximals]
-    target = ((1 << n) - 1) & ~1  # identity is inside every subgroup
-    found = _min_set_cover(masks, target, lower, _Budget(_SEARCH_NODE_BUDGET))
+    found = _min_cover(maximal_subgroups(L), n, lower, _Budget(_SEARCH_NODE_BUDGET))
     if found is None:  # pragma: no cover - non-cyclic groups are always coverable
         raise AssertionError("maximal subgroups fail to cover a non-cyclic group")
     value, chosen = found
-    witness = _witness(G, "Covering", "sigma", [maximals[i] for i in chosen])
+    witness = _witness(G, "Covering", "sigma", chosen)
     log.append((value, "exact branch-and-bound over maximal subgroups"))
     return SigmaResult(value, witness, tuple(log))
 
@@ -638,79 +663,26 @@ def epsilon(
     if is_cyclic(G):
         return INFINITY, None
     n = G.order
-    full = (1 << n) - 1
     p = smallest_prime_divisor(n)
     stop_at = max(3, p + 1)
     budget = _Budget(_SEARCH_NODE_BUDGET)
     best: int | float = INFINITY
-    best_family: list[Subgroup] = []
+    best_family: tuple[Subgroup, ...] = ()
     for d in reversed(qualifying_divisors(n, exponent(G))):
         if -(-(n - 1) // (d - 1)) >= best:
             break  # the bound only grows as d falls
         fams = _covering_family(get_lattice(G, lattice_limit), d)
         if fams is None:
             continue
-        found = _min_set_cover([s.mask for s in fams], full & ~1, stop_at, budget, best)
+        found = _min_cover(fams, n, stop_at, budget, best)
         if found is None:
             continue
-        best, chosen = found
-        best_family = [fams[i] for i in chosen]
+        best, best_family = found
         if best <= stop_at:
             break
     if best == INFINITY:
         return INFINITY, None
     return best, _witness(G, "EqualCovering", "epsilon", best_family)
-
-
-def _min_exact_cover(
-    masks: list[int], target: int, stop_at: int, budget: _Budget
-) -> tuple[int, tuple[int, ...]] | None:
-    """Minimum number of pairwise-disjoint masks exactly covering target.
-
-    Branches on the uncovered element with the fewest live blocks (those
-    disjoint from what is covered), larger blocks first, and prunes by the
-    widest live block.  A solution of size stop_at, a proven lower bound,
-    ends the search.
-    """
-    best: int | float = INFINITY
-    best_sets: tuple[int, ...] = ()
-    sizes = [m.bit_count() for m in masks]
-    by_size = sorted(range(len(masks)), key=lambda i: -sizes[i])
-    element_sets: dict[int, list[int]] = {}
-    for x in range(target.bit_length()):
-        if (target >> x) & 1:
-            element_sets[x] = [i for i in by_size if (masks[i] >> x) & 1]
-
-    def dfs(covered: int, chosen: list[int]):
-        nonlocal best, best_sets
-        budget.tick()
-        remaining = target & ~covered
-        if remaining == 0:
-            if len(chosen) < best:
-                best = len(chosen)
-                best_sets = tuple(chosen)
-            return
-        pick, widest = None, 0
-        for x, cands in element_sets.items():
-            if not (remaining >> x) & 1:
-                continue
-            live = [i for i in cands if not masks[i] & covered]
-            if not live:
-                return
-            widest = max(widest, sizes[live[0]])
-            if pick is None or len(live) < len(pick):
-                pick = live
-        if len(chosen) + -(-remaining.bit_count() // widest) >= best:
-            return
-        for i in pick:
-            chosen.append(i)
-            dfs(covered | masks[i], chosen)
-            chosen.pop()
-            if best <= stop_at:
-                return
-
-    dfs(0, [])
-    return None if best == INFINITY else (best, best_sets)
 
 
 def rho(
@@ -734,14 +706,12 @@ def rho(
         )
     L = get_lattice(G, lattice_limit)
     blocks = [s for s in L.subgroups if 1 < s.order < n]
-    masks = [s.mask & ~1 for s in blocks]
-    target = ((1 << n) - 1) & ~1
     lower = min((1 + -(-(n - m) // (min(m, n // m) - 1)) for m in {s.order for s in blocks}), default=0)
-    found = _min_exact_cover(masks, target, lower, _Budget(_SEARCH_NODE_BUDGET))
+    found = _min_cover(blocks, n, lower, _Budget(_SEARCH_NODE_BUDGET), disjoint=True)
     if found is None:
         return INFINITY, None
     value, chosen = found
-    return value, _witness(G, "Partition", "rho", [blocks[i] for i in chosen])
+    return value, _witness(G, "Partition", "rho", chosen)
 
 
 def equal_partition_exists(G: GroupTable) -> tuple[bool, Certificate | None]:

@@ -16,7 +16,7 @@ from ecov.covering import (
     Certificate,
     _Budget,
     _covering_family,
-    _min_exact_cover,
+    _min_cover,
     _witness,
     qualifying_divisors,
 )
@@ -138,7 +138,6 @@ def equal_partition_by_search(G: GroupTable) -> tuple[bool, Certificate | None]:
     if is_cyclic(G):
         return False, None
     n = G.order
-    nonidentity = ((1 << n) - 1) & ~1
     for d in qualifying_divisors(n, exponent(G)):
         if (n - 1) % (d - 1):
             continue
@@ -146,10 +145,9 @@ def equal_partition_by_search(G: GroupTable) -> tuple[bool, Certificate | None]:
         if fams is None:
             continue
         if not _is_prime(d):
-            masks = [s.mask & ~1 for s in fams]
-            found = _min_exact_cover(masks, nonidentity, (n - 1) // (d - 1), _Budget(_SEARCH_NODE_BUDGET))
+            found = _min_cover(fams, n, (n - 1) // (d - 1), _Budget(_SEARCH_NODE_BUDGET), disjoint=True)
             if found is None:
                 continue
-            fams = [fams[i] for i in found[1]]
+            fams = found[1]
         return True, _witness(G, "EqualPartition", "equal_partition_by_search", fams)
     return False, None

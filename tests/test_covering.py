@@ -20,7 +20,7 @@ from ecov.covering import (
     INFINITY,
     Certificate,
     _Budget,
-    _min_set_cover,
+    _min_cover,
     decide,
     decide_with_hints,
     epsilon,
@@ -41,7 +41,7 @@ from ecov.errors import (
     SpecError,
 )
 from ecov.groups import _is_prime, build_group, exponent, semidirect_product
-from ecov.lattice import get_lattice, maximal_subgroups
+from ecov.lattice import Subgroup, get_lattice, maximal_subgroups
 
 from conftest import equal_partition_by_search
 
@@ -154,6 +154,24 @@ def test_verify_partition_modes(grp):
     i, j = report.detail
     shared = set(overlapping.members[i]) & set(overlapping.members[j])
     assert shared != {0}
+
+
+def test_verify_partition_names_the_first_overlapping_pair(grp):
+    """A bad partition reports its first overlapping pair in (i, j) order, a repeated member included."""
+    G = grp("E(2,3)")
+    lines, planes = members_of_order(G, 2), members_of_order(G, 4)
+    cases = [
+        ("Partition", lines + lines[:1]),
+        ("EqualPartition", lines[:4] + lines[2:]),
+        ("Partition", lines[3:] + planes[:1] + lines[:3]),
+        ("Partition", planes[1:3] + lines),
+    ]
+    for mode, members in cases:
+        first = next(
+            (i, j) for i, j in combinations(range(len(members)), 2) if set(members[i]) & set(members[j]) != {0}
+        )
+        report = verify_certificate(G, Certificate(mode, members))
+        assert (report.code, report.detail) == ("BadPairwiseIntersection", first), members
 
 
 def test_verify_strict_s_partition_d8(grp):
@@ -512,18 +530,34 @@ def test_load_hints_io_errors(tmp_path):
 # Sigma
 
 
-def brute_sigma(G, L):
-    """Smallest covering by proper subgroups, by direct subset search."""
-    proper = [s for s in L.subgroups if s.order < G.order]
+def brute_invariant(G, invariant):
+    """sigma, epsilon or rho by direct subset search over the lattice's subgroups.
+
+    sigma takes any proper subgroups; epsilon the order-d ones, for each d;
+    rho proper nontrivial ones that meet pairwise in the identity alone.
+    """
+    proper = [s for s in get_lattice(G).subgroups if s.order < G.order]
+    if invariant == "sigma":
+        families = [proper]
+    elif invariant == "epsilon":
+        families = [[s for s in proper if s.order == d] for d in sorted({s.order for s in proper})]
+    else:
+        families = [[s for s in proper if s.order > 1]]
     everything = set(range(G.order))
-    for size in range(1, len(proper) + 1):
-        for chosen in combinations(proper, size):
-            covered = set()
-            for s in chosen:
-                covered.update(s.members)
-            if covered == everything:
-                return size
-    return INFINITY
+    best = INFINITY
+    for family in families:
+        for size in range(1, min(len(family), best - 1) + 1):
+            if any(
+                set().union(*(s.members for s in chosen)) == everything
+                and (
+                    invariant != "rho"
+                    or all(set(a.members) & set(b.members) == {0} for a, b in combinations(chosen, 2))
+                )
+                for chosen in combinations(family, size)
+            ):
+                best = size
+                break
+    return best
 
 
 @pytest.mark.parametrize(
@@ -552,42 +586,60 @@ def test_sigma_primitive_values(grp, spec, value):
     assert verify_certificate(G, result.witness).ok
 
 
-@pytest.mark.parametrize("spec", ["E(2,2)", "S3", "E(3,2)", "D10"])
-def test_sigma_matches_brute_force(grp, spec):
+@pytest.mark.parametrize(
+    "invariant,spec",
+    [
+        (invariant, e.spec.text())
+        for invariant in ("sigma", "epsilon", "rho")
+        for e in catalog(12)
+        if not is_cyclic(build_group(e.spec))
+    ],
+)
+def test_sigma_matches_brute_force(grp, invariant, spec):
+    """sigma, epsilon and rho each equal the subset search's value."""
     G = grp(spec)
-    assert sigma(G).value == brute_sigma(G, get_lattice(G))
+    value = {"sigma": lambda: sigma(G).value, "epsilon": lambda: epsilon(G)[0], "rho": lambda: rho(G)[0]}[invariant]()
+    assert value == brute_invariant(G, invariant)
 
 
 @pytest.mark.parametrize(
-    "spec,order,value",
-    [("S4", None, 4), ("E(2,3)", 4, 3), ("E(2,4)", 4, 5), ("E(2,4)", 8, 3), ("E(3,2)", 3, 4)],
+    "spec,order,value,disjoint",
+    [
+        ("S4", None, 4, False),
+        ("E(2,3)", 4, 3, False),
+        ("E(2,4)", 4, 5, False),
+        ("E(2,4)", 8, 3, False),
+        ("E(3,2)", 3, 4, False),
+        ("E(2,4)", 4, 5, True),
+    ],
+    ids=["S4-None-4", "E(2,3)-4-3", "E(2,4)-4-5", "E(2,4)-8-3", "E(3,2)-3-4", "E(2,4)-4-5-disjoint"],
 )
-def test_set_cover_bound_ignores_the_identity_bit(grp, spec, order, value):
-    """The target leaves out the identity, so bit 0 of the masks must change nothing.
+def test_set_cover_bound_ignores_the_identity_bit(grp, spec, order, value, disjoint):
+    """The target leaves out the identity, so bit 0 of the members' masks must change nothing.
 
     With stop_at 0 the search has to prove optimality, so the node count shows
-    whether the lower bound counted the identity as coverable.
+    whether the lower bound counted the identity as coverable, or, for a
+    partition, whether every member looked dead once the identity was covered.
     """
     G = grp(spec)
     L = get_lattice(G)
     subs = maximal_subgroups(L) if order is None else L.of_order(order)
-    target = ((1 << G.order) - 1) & ~1
     runs = []
-    for masks in ([s.mask for s in subs], [s.mask & ~1 for s in subs]):
+    for family in (subs, [Subgroup(s.mask & ~1, s.members, s.generators) for s in subs]):
         budget = _Budget(10**6)
-        runs.append((_min_set_cover(masks, target, 0, budget), budget.nodes))
+        size, chosen = _min_cover(family, G.order, 0, budget, disjoint=disjoint)
+        runs.append((size, [s.members for s in chosen], budget.nodes))
     assert runs[0] == runs[1]
-    assert runs[0][0][0] == value
+    assert runs[0][0] == value
 
 
 def test_set_cover_counts_only_covers_below_the_bound(grp):
-    """Covers of the bound's size or more are no answer, nor is an uncoverable target."""
+    """Covers of the bound's size or more are no answer, nor is a family that does not cover."""
     G = grp("E(2,3)")
-    masks = [s.mask for s in maximal_subgroups(get_lattice(G))]
-    target = ((1 << G.order) - 1) & ~1
-    assert _min_set_cover(masks, target, 3, _Budget(10**6), 4)[0] == 3
-    assert _min_set_cover(masks, target, 0, _Budget(10**6), 3) is None
-    assert _min_set_cover(masks, target | 1 << G.order, 0, _Budget(10**6)) is None
+    subs = maximal_subgroups(get_lattice(G))
+    assert _min_cover(subs, G.order, 3, _Budget(10**6), 4)[0] == 3
+    assert _min_cover(subs, G.order, 0, _Budget(10**6), 3) is None
+    assert _min_cover(subs[:2], G.order, 0, _Budget(10**6)) is None
 
 
 def test_sigma_of_cyclic_is_infinite(grp):
