@@ -6,7 +6,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .analysis import structure_report
 from .census import catalog, emit, run_census
@@ -53,17 +52,26 @@ def _member_summary(cert: Certificate) -> str:
     return f"{k} subgroups of orders {{{listed}}}"
 
 
-def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _write_file(path: str, what: str, text: str) -> None:
+    """Write UTF-8 text to path; failing to (``OSError``) raises ``SpecError``
+    naming ``what`` was written, so a bad path exits as an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {what} {path}: {exc}") from None
+
+
+def _write_json(path: str, what: str, doc) -> None:
+    _write_file(path, what, json.dumps(doc, indent=2) + "\n")
 
 
 def _deliver(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        _write_file(out, "report", text)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +89,7 @@ def _cmd_describe(args) -> int:
             f"{len(maximal_subgroups(L))} maximal; {len(normal_subgroups(L))} normal"
         )
         if args.emit_lattice:
-            _write_json(args.emit_lattice, lattice_to_json(L))
+            _write_json(args.emit_lattice, "lattice", lattice_to_json(L))
             lattice_line += f"\nlattice written to {args.emit_lattice}"
     else:
         lattice_line = f"subgroups: not enumerated (order above lattice limit {args.lattice_limit})"
@@ -128,7 +136,7 @@ def _cmd_check(args) -> int:
         if decision.certificate is None:
             line += "\nno certificate to write (negative decision)"
         else:
-            _write_json(args.emit_certificate, decision.certificate.to_json(G.meta.name))
+            _write_json(args.emit_certificate, "certificate", decision.certificate.to_json(G.meta.name))
             line += f"\ncertificate written to {args.emit_certificate}"
     _deliver(line, args.out)
     return 0
@@ -148,7 +156,7 @@ def _invariant_command(args) -> int:
     if witness is not None:
         lines.append(f"witness: {_member_summary(witness)}")
         if args.witness:
-            _write_json(args.witness, witness.to_json(G.meta.name))
+            _write_json(args.witness, "witness", witness.to_json(G.meta.name))
             lines.append(f"witness written to {args.witness}")
     _deliver("\n".join(lines), args.out)
     return 0
@@ -160,7 +168,7 @@ def _cmd_partition(args) -> int:
     if exists:
         lines = [f"equal partition: yes — {_member_summary(cert)}"]
         if args.witness:
-            _write_json(args.witness, cert.to_json(G.meta.name))
+            _write_json(args.witness, "witness", cert.to_json(G.meta.name))
             lines.append(f"witness written to {args.witness}")
     else:
         lines = [f"equal partition: none for {G.meta.name}"]

@@ -1,4 +1,4 @@
-"""Finite groups as verified Cayley tables.
+"""Finite groups as Cayley tables.
 
 Every group is a table over element indices 0..n-1 with the identity at
 index 0.  Families are built by formula (cyclic, dihedral, dicyclic,
@@ -7,6 +7,10 @@ generators (symmetric, alternating, PSL(2,q), Mathieu, user files).
 Permutation-built groups number their elements breadth-first from the
 identity with a lexicographic tie-break inside each layer, so identical
 specs always produce identical tables.
+
+Each of these tables is a group by construction, so only a table read
+from a ``cayley:`` file goes through ``verify_table``; the tests run the
+same check on the built ones.
 """
 from __future__ import annotations
 
@@ -213,6 +217,8 @@ class GroupTable:
 
     ``table`` is the only form of the group: scalar reads go to the array,
     and loops that need plain lists build them from it for one call.
+    ``table`` must be a group table, which is not checked here: builders
+    make one by construction, and ``cayley:`` files pass ``verify_table``.
     ``generators`` must generate it: the center and conjugation maps use them alone.
     """
 
@@ -231,6 +237,7 @@ class GroupTable:
 
     def __init__(self, table: np.ndarray, meta: ConstructionMeta, generators: tuple[int, ...]):
         self.order = int(table.shape[0])
+        table = np.ascontiguousarray(table, dtype=_index_dtype(self.order))
         table.setflags(write=False)
         self.table = table
         self.inverse = tuple(_right_inverses(table).tolist())
@@ -302,7 +309,6 @@ class TableReport:
     ok: bool
     code: str | None = None
     witness: tuple | None = None
-    method: str = ""
 
     def __bool__(self) -> bool:  # pragma: no cover
         return self.ok
@@ -331,18 +337,15 @@ def _close(maps: list[list[int]], seed, half: int | None = None) -> set[int] | N
     return members
 
 
-def _generating_set(T: np.ndarray, generators: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """``generators`` extended until their closure is the whole table.
+def _generating_set(T: np.ndarray) -> tuple[int, ...]:
+    """The greedy generating set of the table.
 
     The closure is taken under right multiplication starting from the
     identity.  While it misses an element, the least missing element is
-    added as a generator, so with no generators given this is the greedy
-    generating set of the table.
+    added as a generator.
     """
     n = int(T.shape[0])
-    gens = list(dict.fromkeys(int(g) for g in generators if g))
-    maps = [T[:, g].tolist() for g in gens]
-    seen = _close(maps, (0,))
+    gens, maps, seen = [], [], {0}
     while len(seen) < n:
         g = next(x for x in range(n) if x not in seen)
         gens.append(g)
@@ -381,14 +384,13 @@ def _right_inverses(T: np.ndarray) -> np.ndarray:
     )
 
 
-def verify_table(table, generators: tuple[int, ...] | None = None) -> TableReport:
+def verify_table(table) -> TableReport:
     """Check that a square index table is a group table with identity 0.
 
     After the shape and identity checks come two-sided inverses and
     associativity.  Associativity is decided exactly, at every order, by
-    Light's test over a generating set: ``generators``, extended greedily
-    with the least element outside their closure when they are missing or
-    do not generate the table.  This is exact because
+    Light's test over the greedy generating set, which adds the least
+    element outside the closure of those before it.  This is exact because
     A = {a : (xa)y = x(ay) for all x, y} contains the identity and is
     closed under products, as (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
     x((ab)y); so once A holds a set whose closure under right
@@ -419,9 +421,9 @@ def verify_table(table, generators: tuple[int, ...] | None = None) -> TableRepor
     two_sided = (T[idx, right_inv] == 0) & (T[right_inv, idx] == 0)
     witness = None
     if two_sided.all():
-        witness = _light_witness(T, _generating_set(T, generators or ()))
+        witness = _light_witness(T, _generating_set(T))
         if witness is None:
-            return TableReport(True, method="light")
+            return TableReport(True)
 
     rows_ok = (np.sort(T, axis=1) == idx).all(axis=1)
     if not rows_ok.all():
@@ -438,19 +440,6 @@ def _index_dtype(n: int):
     return np.int16 if n <= np.iinfo(np.int16).max else np.int32
 
 
-def _make_group(
-    table: np.ndarray, meta: ConstructionMeta, generators: tuple[int, ...]
-) -> GroupTable:
-    table = np.ascontiguousarray(table, dtype=_index_dtype(table.shape[0]))
-    report = verify_table(table, generators=generators)
-    if not report.ok:  # pragma: no cover - builders are unit-tested
-        raise ConstructionError(
-            f"internal error: built table for {meta.name} fails verification: "
-            f"{report.code} {report.witness}"
-        )
-    return GroupTable(table, meta, generators)
-
-
 # ---------------------------------------------------------------------------
 # Family builders
 
@@ -463,7 +452,7 @@ def _cyclic_table(n: int) -> np.ndarray:
 def _build_cyclic(n: int) -> GroupTable:
     meta = ConstructionMeta("cyclic", f"C{n}", (n,))
     gens = (1,) if n > 1 else ()
-    return _make_group(_cyclic_table(n), meta, gens)
+    return GroupTable(_cyclic_table(n), meta, gens)
 
 
 def _build_dihedral(order: int) -> GroupTable:
@@ -477,7 +466,7 @@ def _build_dihedral(order: int) -> GroupTable:
     table = np.block([[add, add + n], [sub + n, sub]])
     meta = ConstructionMeta("dihedral", f"D{order}", (n,))
     gens = (1, n) if n >= 2 else (1,)
-    return _make_group(table, meta, gens)
+    return GroupTable(table, meta, gens)
 
 
 def _build_dicyclic(n: int) -> GroupTable:
@@ -490,7 +479,7 @@ def _build_dicyclic(n: int) -> GroupTable:
     table = np.block([[add, add + m], [sub + m, (sub + n) % m]])
     name = "Q8" if n == 2 else f"Dic{n}"
     meta = ConstructionMeta("dicyclic", name, (n,))
-    return _make_group(table, meta, (1, m))
+    return GroupTable(table, meta, (1, m))
 
 
 def _symmetric_order(n: int, alternating: bool = False) -> int:
@@ -517,7 +506,7 @@ def _build_elementary(p: int, k: int) -> GroupTable:
         table[v] = (((digits[v][None, :] + digits) % p) * weights[None, :]).sum(axis=1)
     meta = ConstructionMeta("elementary", f"E({p},{k})", (p, k))
     gens = tuple(int(p**i) for i in range(k))
-    return _make_group(table, meta, gens)
+    return GroupTable(table, meta, gens)
 
 
 def _close_and_tabulate(generators: list[list[int]], kind: str, name: str, params: tuple = ()) -> GroupTable:
@@ -535,7 +524,7 @@ def _close_and_tabulate(generators: list[list[int]], kind: str, name: str, param
     gens = gens[(gens != identity).any(axis=1)]
     meta = ConstructionMeta(kind, name, params)
     if not len(gens):
-        return _make_group(_cyclic_table(1), meta, ())
+        return GroupTable(_cyclic_table(1), meta, ())
     gens = gens[np.lexsort(gens.T[::-1])]
     gens = gens[np.r_[True, (gens[1:] != gens[:-1]).any(axis=1)]]
     index_of = {identity.tobytes(): 0}
@@ -564,7 +553,7 @@ def _close_and_tabulate(generators: list[list[int]], kind: str, name: str, param
     table[0] = np.arange(n)
     for e, (p, g) in enumerate(parents[1:], 1):
         np.take(table[p], lmul[g], out=table[e])
-    return _make_group(table, meta, tuple(index_of[g.tobytes()] for g in gens))
+    return GroupTable(table, meta, tuple(index_of[g.tobytes()] for g in gens))
 
 
 def _build_symmetric(n: int) -> GroupTable:
@@ -589,7 +578,7 @@ def _build_alternating(n: int) -> GroupTable:
 
 
 def _build_trivial(name: str, kind: str, params: tuple = ()) -> GroupTable:
-    return _make_group(_cyclic_table(1), ConstructionMeta(kind, name, params), ())
+    return GroupTable(_cyclic_table(1), ConstructionMeta(kind, name, params), ())
 
 
 def _psl2_order(q: int) -> int:
@@ -667,10 +656,8 @@ def _build_cayley_file(path: str, spec_text: str) -> GroupTable:
     report = verify_table(table)
     if not report.ok:
         raise InvalidRawTable(report.code, report.witness)
-    table = table.astype(_index_dtype(n))
-    gens = _generating_set(table)
     meta = ConstructionMeta("cayley", spec_text, (n,))
-    return GroupTable(np.ascontiguousarray(table), meta, gens)
+    return GroupTable(table, meta, _generating_set(table))
 
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
@@ -689,7 +676,7 @@ def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     name = f"{A.meta.name}x{B.meta.name}"
     meta = ConstructionMeta("product", name, (), (A, B))
     gens = tuple(g * nB for g in A.generators) + tuple(B.generators)
-    return _make_group(table, meta, gens)
+    return GroupTable(table, meta, gens)
 
 
 def _as_action(K: GroupTable, H: GroupTable, action) -> tuple[tuple[int, ...], ...]:
@@ -737,7 +724,7 @@ def semidirect_product(H: GroupTable, K: GroupTable, action) -> GroupTable:
     name = f"{H.meta.name}:{K.meta.name}"
     meta = ConstructionMeta("semidirect", name, (), (H, K), action=phi)
     gens = tuple(h * nK for h in H.generators) + tuple(K.generators)
-    return _make_group(table, meta, gens)
+    return GroupTable(table, meta, gens)
 
 
 def _build_w() -> GroupTable:
@@ -783,8 +770,7 @@ def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
     proj = tuple(proj.tolist())
     gens = tuple(sorted({proj[g] for g in G.generators} - {0}))
     meta = ConstructionMeta("quotient", f"{G.meta.name}/N{len(mem)}", (len(mem),))
-    Q = _make_group(qtable.astype(_index_dtype(len(reps))), meta, gens)
-    return Q, proj
+    return GroupTable(qtable, meta, gens), proj
 
 
 class _Family(NamedTuple):
@@ -816,7 +802,7 @@ _FAMILIES: dict[str, _Family] = {
 
 
 def build_group(spec: GroupSpec | str) -> GroupTable:
-    """Build the verified table for a spec (object or mini-language text)."""
+    """Build the table for a spec (object or mini-language text)."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     predicted = spec_order(spec)

@@ -351,6 +351,25 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys, command, what, kind):
     assert err.startswith(f"error: cannot read {what} {path}: ")
 
 
+@pytest.mark.parametrize(
+    "args,what",
+    [
+        (["describe", "C4", "--out", "{}"], "report"),
+        (["describe", "C4", "--emit-lattice", "{}"], "lattice"),
+        (["check", "D8", "--emit-certificate", "{}"], "certificate"),
+        (["sigma", "D8", "--witness", "{}"], "witness"),
+    ],
+    ids=["out", "emit-lattice", "emit-certificate", "witness"],
+)
+def test_unwritable_output_paths_exit_2(tmp_path, args, what):
+    path = tmp_path / "missing" / "x.txt"
+    proc = run(*(arg.format(path) for arg in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {what} {path}: ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 def test_census_reports_an_unreadable_hint_file_as_an_error_row(tmp_path, capsys):
     shutil.copy(f"{HINTS_DIR}/m11.json", tmp_path)
     (tmp_path / "bad.json").write_bytes(b'{"name": "caf\xe9"}\n')

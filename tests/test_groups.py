@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ecov import groups
+from ecov import analysis, cli, covering, groups
 from ecov.analysis import is_cyclic
 from ecov.census import catalog
 from ecov.errors import (
@@ -40,6 +40,8 @@ from ecov.groups import (
 )
 from ecov.lattice import normal_subgroups_direct
 from ecov.perms import parse_cycles
+
+from conftest import generated
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -188,7 +190,7 @@ def test_builder_orders_and_exponents(grp, spec, order, expo):
     G = grp(spec)
     assert G.order == order
     assert exponent(G) == expo
-    assert verify_table(G.table, generators=G.generators).ok
+    assert verify_table(G.table).ok
 
 
 def _twisted_cyclic_reference(order: int, m: int, shift: int) -> np.ndarray:
@@ -201,16 +203,14 @@ def _twisted_cyclic_reference(order: int, m: int, shift: int) -> np.ndarray:
     return rot + m * (e[:, None] ^ e[None, :])
 
 
-def test_dihedral_and_dicyclic_tables_match_the_int64_formula(monkeypatch):
-    # Every order up to 400 and the largest up to 2,000; _make_group's
-    # verification is skipped so the sweep stays cheap.
-    monkeypatch.setattr(groups, "_make_group", lambda table, meta, gens: table)
+def test_dihedral_and_dicyclic_tables_match_the_int64_formula():
+    # Every order up to 400 and the largest up to 2,000.
     for order in [*range(2, 401, 2), 1000, 1998, 2000]:
-        table = groups._build_dihedral(order)
+        table = groups._build_dihedral(order).table
         assert table.dtype == np.int16
         assert np.array_equal(table, _twisted_cyclic_reference(order, order // 2, 0)), order
     for n in [*range(1, 101), 250, 499, 500]:
-        table = groups._build_dicyclic(n)
+        table = groups._build_dicyclic(n).table
         assert table.dtype == np.int16
         assert np.array_equal(table, _twisted_cyclic_reference(4 * n, 2 * n, n)), n
 
@@ -303,8 +303,7 @@ def test_order_limit_enforced():
 
 
 def test_verify_accepts_real_tables(grp):
-    report = verify_table(grp("S4").table)
-    assert report.ok and report.method == "light"
+    assert verify_table(grp("S4").table).ok
 
 
 def test_verify_rejects_malformed_shapes():
@@ -399,19 +398,18 @@ def test_light_rejects_intercalate_swap(n):
 
 
 def test_verify_with_non_generating_generators_stays_exact(grp):
-    # 3 generates a subgroup of order 2 in C6, and 4 one of order 2 in the
-    # swapped C8, so both generating sets are extended greedily.
-    assert verify_table(grp("C6").table, generators=(3,)).ok
+    # Light's test runs over the greedy generating set of each table, so
+    # the swapped C8 is named at (1, 1, 2) whatever generators built it.
+    assert verify_table(grp("C6").table).ok
     loop = _intercalate_cyclic(8)
-    report = verify_table(loop, generators=(4,))
-    assert report.code == "NotAssociative"
+    report = verify_table(loop)
+    assert (report.code, report.witness) == ("NotAssociative", (1, 1, 2))
     _assert_fails_at(loop, report.witness)
 
 
 def test_verify_large_table_methods(grp):
     G = build_group("C601")
-    assert verify_table(G.table, generators=(1,)).method == "light"
-    assert verify_table(G.table).method == "light"
+    assert verify_table(G.table).ok
 
 
 def _reference_verdict(T) -> tuple:
@@ -506,19 +504,139 @@ def test_multi_block_light_path_names_the_same_rejections(monkeypatch):
     assert any(code == "NotAssociative" and witness[0] >= 2 for code, witness in expected)
 
 
-def test_builds_verify_through_verify_table(monkeypatch, tmp_path):
-    # Built and raw tables both go through the public check, so whatever
-    # wraps or counts verify_table sees every verification.
+def test_only_cayley_files_go_through_verify_table(monkeypatch, tmp_path, capsys):
+    # A cayley: file is the only table from outside the program, so it is the
+    # only one the program verifies; every other table is a group by
+    # construction, and the tests below check that instead.
     calls = []
     verify = groups.verify_table
-    monkeypatch.setattr(groups, "verify_table", lambda T, **kw: calls.append(len(T)) or verify(T, **kw))
-    G = build_group("A5")
+    monkeypatch.setattr(groups, "verify_table", lambda T: calls.append(len(T)) or verify(T))
+    perm = tmp_path / "f21.txt"
+    perm.write_text("(1,2,3,4,5,6,7)\n(2,3,5)(4,7,6)\n", encoding="utf-8")
+    specs = ["C12", "D12", "Dic3", "Q8", "S4", "A5", "E(2,3)", "PSL(2,7)", "M11", "W", "C2xS3xC2", f"perm:{perm}"]
+    built = {spec: build_group(spec) for spec in specs}
+    quotient(built["D12"], (0, 2, 4))
+    assert calls == []
+
+    G = built["A5"]
     path = tmp_path / "a5.json"
     path.write_text(json.dumps({"order": 60, "table": G.table.tolist()}), encoding="utf-8")
     H = build_group(f"cayley:{path}")
-    assert calls == [60, 60]
+    assert calls == [60]
+    assert np.array_equal(H.table, G.table)
     T = H.table
     assert all(T[x, H.inverse[x]] == 0 == T[H.inverse[x], x] for x in range(H.order))
+
+    bad = tmp_path / "loop.json"
+    bad.write_text(json.dumps({"order": 5, "table": _ORDER5_LOOP}), encoding="utf-8")
+    with pytest.raises(InvalidRawTable):
+        build_group(f"cayley:{bad}")
+    assert calls == [60, 5]
+    assert cli.main(["describe", f"cayley:{bad}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid Cayley table: NotAssociative witness=")
+    assert calls == [60, 5, 5]
+
+
+# ---------------------------------------------------------------------------
+# Built tables are groups by construction
+#
+# The program checks no table it builds itself.  These tests carry that
+# argument: every builder's tables pass verify_table and, up to order 64,
+# the brute-force triple check as well.
+
+
+def _assert_group_table(T, label):
+    assert verify_table(T).ok, label
+    if T.shape[0] <= 64:
+        assert _brute_force_associative(T), label
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "C1", "C2", "C12", "C601",
+        "D2", "D12", "D64", "D400",
+        "Dic1", "Q8", "Dic3", "Dic16", "Dic125",
+        "E(2,1)", "E(2,6)", "E(3,3)", "E(5,2)", "E(7,3)",
+        "S1", "S2", "S3", "S4", "S5", "S6",
+        "A1", "A3", "A4", "A5", "A6",
+        "PSL(2,2)", "PSL(2,3)", "PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)", "PSL(2,11)",
+        "W",
+        # direct products of three or more factors
+        "C2xC2xC3", "S3xC2xC2", "Q8xC3xC2", "C2xD10xC3", "WxC2xC2", "Dic3xE(2,2)xC5", "C2xC2xC2xC2xS3",
+    ],
+)
+def test_built_tables_are_groups(spec):
+    _assert_group_table(build_group(spec).table, spec)
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [
+        ("(1,2)(3,4)\n(1,3)\n", 8),
+        ("(1,2,3)\n(1,2)\n", 6),
+        ("(1,2,3,4,5,6,7)\n(2,3,5)(4,7,6)\n", 21),
+        ("(1,2,3,4,5)\n(1,2,3)\n", 60),
+        ("(1,2,3,4,5,6,7,8,9,10,11)\n(3,7,11,8)(4,10,5,6)\n", 7920),
+    ],
+)
+def test_perm_file_tables_are_groups(tmp_path, text, order):
+    path = tmp_path / "gens.txt"
+    path.write_text(text, encoding="utf-8")
+    G = build_group(f"perm:{path}")
+    assert G.order == order
+    _assert_group_table(G.table, text)
+
+
+def _inverting(H):
+    """C2 acting on an abelian H by inversion."""
+    return [tuple(range(H.order)), H.inverse]
+
+
+def _cyclic_units(n, unit, k):
+    """C_k acting on C_n by multiplication with powers of unit."""
+    return [tuple(h * pow(unit, j, n) % n for h in range(n)) for j in range(k)]
+
+
+@pytest.mark.parametrize(
+    "H,K,action",
+    [
+        ("C7", "C3", lambda H: _cyclic_units(7, 2, 3)),
+        ("C9", "C6", lambda H: _cyclic_units(9, 2, 6)),
+        # the three involutions of E(2,2) permuted cyclically: A4
+        ("E(2,2)", "C3", lambda H: [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]),
+        ("E(3,2)", "C2", _inverting),
+        ("C4xC2", "C2", _inverting),
+    ],
+)
+def test_semidirect_product_tables_are_groups(grp, H, K, action):
+    G = semidirect_product(grp(H), grp(K), action(grp(H)))
+    assert G.order == grp(H).order * grp(K).order
+    assert not (G.table == G.table.T).all()
+    _assert_group_table(G.table, G.meta.name)
+
+
+def test_quotient_tables_of_the_decision_rules_are_groups(monkeypatch):
+    # Every quotient that T21 (_noncyclic_quotients) and index_p_subgroups
+    # take while deciding catalog(120), recorded at the two call sites.
+    taken = []
+
+    def recording(G, members):
+        Q, proj = quotient(G, members)
+        taken.append((f"{G.meta.name}/{len(proj) // Q.order}", Q))
+        return Q, proj
+
+    monkeypatch.setattr(covering, "quotient", recording)
+    monkeypatch.setattr(analysis, "quotient", recording)
+    for entry in catalog(120):
+        G = build_group(entry.spec)
+        covering.decide(G)
+        for p in groups.factorize(G.order):
+            analysis.index_p_subgroups(G, p)
+    assert len(taken) > 500
+    for label, Q in taken:
+        _assert_group_table(Q.table, label)
 
 
 def test_non_latin_table_with_inverses_is_named_not_latin():
@@ -532,7 +650,7 @@ def test_verify_table_temporaries_stay_small():
     G = build_group("M11")
     tracemalloc.start()
     try:
-        assert verify_table(G.table, generators=G.generators).ok
+        assert verify_table(G.table).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -803,14 +921,16 @@ def test_quotient_numbers_cosets_by_least_member_on_catalog():
 
 def test_stored_generators_generate_the_table(grp, tmp_path):
     # The center and the conjugation maps are computed from the stored
-    # generators alone, so every builder must store a generating set.
-    groups = [build_group(entry.spec) for entry in catalog(240)]
-    groups += [build_group(spec) for spec in ("A7", "PSL(2,16)", "C1510", "W")]
+    # generators alone, so every builder must store a generating set, with
+    # neither the identity nor a repeat.
+    built = [build_group(entry.spec) for entry in catalog(240)]
+    built += [build_group(spec) for spec in ("A7", "PSL(2,16)", "C1510", "W")]
     C7, C3 = grp("C7"), grp("C3")
-    groups.append(semidirect_product(C7, C3, [tuple(h * 2**k % 7 for h in range(7)) for k in range(3)]))
-    groups.append(quotient(grp("D12"), (0, 2, 4))[0])
+    built.append(semidirect_product(C7, C3, [tuple(h * 2**k % 7 for h in range(7)) for k in range(3)]))
+    built.append(quotient(grp("D12"), (0, 2, 4))[0])
     path = tmp_path / "s4.json"
     path.write_text(json.dumps({"order": 24, "table": grp("S4").table.tolist()}), encoding="utf-8")
-    groups.append(build_group(f"cayley:{path}"))
-    for G in groups:
-        assert _generating_set(G.table, G.generators) == G.generators, G.meta.name
+    built.append(build_group(f"cayley:{path}"))
+    for G in built:
+        assert 0 not in G.generators and len(set(G.generators)) == len(G.generators), G.meta.name
+        assert len(generated(G, G.generators)) == G.order, G.meta.name
