@@ -165,22 +165,13 @@ def elementary_abelian_quotient(G: GroupTable, p: int) -> tuple[int, Subgroup]:
     return k, N
 
 
-def index_p_subgroups(G: GroupTable, p: int) -> list[tuple[int, ...]]:
-    """Member tuples of all normal index-p subgroups, via the elementary quotient.
+def _gf_coordinates(Q: GroupTable, p: int, k: int) -> np.ndarray:
+    """Row x is the coordinate vector over GF(p) of element x of Q, elementary abelian of order p^k.
 
-    A normal index-p subgroup has cyclic order-p quotient, hence contains the
-    kernel N of the maximal exponent-p abelian quotient; these subgroups are
-    exactly the preimages of the hyperplanes of G/N.  An index-p subgroup
-    that is not normal is not listed: S4 with p = 3 gives [], though S4 has
-    three index-3 subgroups.  In a nilpotent group, p-groups included, every
-    index-p subgroup is normal.
+    The basis is grown greedily from the table: each element not yet reached
+    is the next basis vector, so the span of the first dim basis vectors has
+    zeros from coordinate dim on.
     """
-    k, N = elementary_abelian_quotient(G, p)
-    if k == 0:
-        return []
-    Q, proj = quotient(G, N.members)
-    # Coordinates of Q over GF(p): grow a basis greedily.  The span of the
-    # first dim basis vectors has zeros from coordinate dim on.
     coords = {0: (0,) * k}
     dim = 0
     for q in range(1, Q.order):
@@ -193,9 +184,44 @@ def index_p_subgroups(G: GroupTable, p: int) -> list[tuple[int, ...]]:
                 y = times_q[y]
                 coords[y] = vx[:dim] + (j,) + vx[dim + 1:]
         dim += 1
-    C = np.array([coords[q] for q in range(Q.order)])
-    # Nonzero functionals up to scalar: first nonzero coefficient is 1.
-    vectors = np.arange(Q.order)[:, None] // p ** np.arange(k) % p
-    lead = vectors[np.arange(Q.order), (vectors != 0).argmax(axis=1)]
-    kernels = (C @ vectors[lead == 1].T) % p == 0
-    return sorted(tuple(np.flatnonzero(row).tolist()) for row in kernels.T[:, proj])
+    return np.array([coords[q] for q in range(Q.order)])
+
+
+def _elementary_coordinates(G: GroupTable, p: int) -> np.ndarray:
+    """Row x is the _gf_coordinates vector of x's image in G/N, N the kernel
+    of elementary_abelian_quotient; there is one column per unit of rank.
+
+    Cosets are numbered by their least member, so the basis vectors are the
+    images of the elements of G, in index order, that are independent of
+    those before them.  For trivial N, G is read directly, with no copy of
+    its table.
+    """
+    k, N = elementary_abelian_quotient(G, p)
+    if N.order == 1:
+        return _gf_coordinates(G, p, k)
+    Q, proj = quotient(G, N.members)
+    return _gf_coordinates(Q, p, k)[list(proj)]
+
+
+def _hyperplanes(X: np.ndarray, p: int, r: int) -> list[tuple[int, ...]]:
+    """Sorted member tuples of the kernels of x -> f . X[x] mod p, for the
+    nonzero functionals f on the last r columns of X, up to scalar."""
+    # First nonzero coefficient 1 picks one functional per scalar class.
+    vectors = np.arange(p**r)[:, None] // p ** np.arange(r) % p
+    lead = vectors[np.arange(p**r), (vectors != 0).argmax(axis=1)]
+    kernels = (X[:, X.shape[1] - r:] @ vectors[lead == 1].T) % p == 0
+    return sorted(tuple(np.flatnonzero(col).tolist()) for col in kernels.T)
+
+
+def index_p_subgroups(G: GroupTable, p: int) -> list[tuple[int, ...]]:
+    """Member tuples of all normal index-p subgroups, via the elementary quotient.
+
+    A normal index-p subgroup has cyclic order-p quotient, hence contains the
+    kernel N of the maximal exponent-p abelian quotient; these subgroups are
+    exactly the preimages of the hyperplanes of G/N.  An index-p subgroup
+    that is not normal is not listed: S4 with p = 3 gives [], though S4 has
+    three index-3 subgroups.  In a nilpotent group, p-groups included, every
+    index-p subgroup is normal.
+    """
+    X = _elementary_coordinates(G, p)
+    return _hyperplanes(X, p, X.shape[1]) if X.shape[1] else []

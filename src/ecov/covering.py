@@ -10,12 +10,17 @@ pull-back step that decides a smaller image group and takes preimages.
 Every Yes, the exhaustive test's included, is returned with a
 certificate that is re-verified before leaving the engine.
 sigma/epsilon/rho compute the minimum sizes of coverings, equal coverings,
-and partitions by one branch-and-bound search, _min_cover, whose witnesses
-are verified the same way.  Its partition mode differs only in keeping
-live the members disjoint from what is covered and in its branching pick.
-equal_partition_exists answers by Isaacs' theorem, with no search.  The
-search has no greedy start: it counts only covers smaller than the bound
-it is given.  A function that needs the subgroup lattice takes it from
+and partitions.  Nilpotent groups are answered from theory with no lattice:
+sigma = epsilon = p + 1 for p the least prime whose Sylow subgroup is not
+cyclic (Cohn 1994); rho is infinite off p-groups (Baer, Kegel and Suzuki
+1961) and on abelian p-groups of exponent above p (Kontorovich 1939), and
+q^ceil(k/2) + 1 on E(q,k) (Beutelspacher 1979).  Other groups go to one
+branch-and-bound search, _min_cover, whose partition mode differs only in
+keeping live the members disjoint from what is covered and in its
+branching pick.  The search has no greedy start: it counts only covers
+smaller than the bound it is given.  Every witness is verified the same
+way.  equal_partition_exists answers by Isaacs' theorem, with no search.
+A function that needs the subgroup lattice takes it from
 get_lattice, which caches it on the group.
 """
 from __future__ import annotations
@@ -29,8 +34,12 @@ from functools import partial
 import numpy as np
 
 from .analysis import (
+    _elementary_coordinates,
+    _gf_coordinates,
+    _hyperplanes,
     factorize,
     index_p_subgroups,
+    is_abelian,
     is_cyclic,
     is_nilpotent,
     is_simple,
@@ -364,6 +373,20 @@ def _dihedral(G: GroupTable, pull_back):
     return "Yes", _preimage(klein, 2 * (x // n) + x % 2)
 
 
+def _least_noncyclic_prime(G: GroupTable) -> tuple[int, np.ndarray]:
+    """For a nilpotent non-cyclic G, the least prime p with more than one
+    index-p subgroup, and _elementary_coordinates(G, p).
+
+    Rank k gives (p^k - 1)/(p - 1) index-p subgroups, so more than one means
+    k >= 2, and p is the least prime whose Sylow subgroup is not cyclic.
+    """
+    for p in factorize(G.order):
+        X = _elementary_coordinates(G, p)
+        if X.shape[1] > 1:
+            return p, X
+    raise AssertionError("a non-cyclic nilpotent group has a Sylow subgroup that is not cyclic")  # pragma: no cover
+
+
 def _p_group(G: GroupTable, pull_back):
     p = p_group_prime(G)
     if p is None:
@@ -372,14 +395,11 @@ def _p_group(G: GroupTable, pull_back):
 
 
 def _nilpotent(G: GroupTable, pull_back):
+    """Every index_p_subgroups(G, p) member, for p from _least_noncyclic_prime."""
     if not is_nilpotent(G):
         return None
-    # Rank k gives (q^k - 1)/(q - 1) index-q subgroups, so more than one means k >= 2.
-    for q in factorize(G.order):
-        members = index_p_subgroups(G, q)
-        if len(members) > 1:
-            return "Yes", Certificate("EqualCovering", tuple(members))
-    return None
+    p, X = _least_noncyclic_prime(G)
+    return "Yes", Certificate("EqualCovering", tuple(_hyperplanes(X, p, X.shape[1])))
 
 
 def _direct_factor(G: GroupTable, pull_back):
@@ -623,15 +643,45 @@ class SigmaResult:
     bounds_log: tuple = ()
 
 
+def _nilpotent_pencil(G: GroupTable) -> tuple[int, list[Subgroup]] | None:
+    """For a nilpotent non-cyclic G, the prime p of _least_noncyclic_prime and
+    the p + 1 index-p subgroups containing the meet of the first two that
+    index_p_subgroups lists; None when G is not nilpotent.
+
+    Members are listed in sorted order, and the basis vectors are the images
+    of the first independent elements, so the first member is the kernel of
+    the last coordinate and the second meets it in the kernel of the last
+    two: the p + 1 members are those of the functionals on the last two
+    coordinates, found without listing the others.  They are the preimages
+    of the lines of a quotient of order p^2, so they cover G and share one
+    order.  Cohn ("On n-sum groups", Math. Scand. 75, 1994): sigma of a
+    non-cyclic nilpotent group is p + 1, so sigma = epsilon = p + 1.
+    """
+    if not is_nilpotent(G):
+        return None
+    p, X = _least_noncyclic_prime(G)
+    return p, [Subgroup.from_members(m) for m in _hyperplanes(X, p, 2)]
+
+
 def sigma(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> SigmaResult:
     """Minimum number of proper subgroups covering G; Infinity iff cyclic.
 
-    The search runs over maximal subgroups only: any covering stays a
-    covering of the same size after enlarging each member to a maximal
-    subgroup above it, so the minimum is attained there.
+    A nilpotent group is answered by _nilpotent_pencil with no lattice.
+    Otherwise the search runs over maximal subgroups only: any covering
+    stays a covering of the same size after enlarging each member to a
+    maximal subgroup above it, so the minimum is attained there.
     """
     if is_cyclic(G):
         return SigmaResult(INFINITY, None, ((INFINITY, "cyclic groups have no covering"),))
+    pencil = _nilpotent_pencil(G)
+    if pencil is not None:
+        p, members = pencil
+        log = (
+            (p + 1, f"a non-cyclic nilpotent group needs p + 1 members, p = {p} the least prime "
+                    "whose Sylow subgroup is not cyclic (Cohn, Math. Scand. 75, 1994)"),
+            (p + 1, f"the {p + 1} index-{p} subgroups containing the meet of two of them"),
+        )
+        return SigmaResult(p + 1, _witness(G, "Covering", "sigma", members), log)
     L = get_lattice(G, lattice_limit)
     n = G.order
     p = smallest_prime_divisor(n)
@@ -658,10 +708,14 @@ def epsilon(
     d - 1 non-identity elements, so order d needs ceil((|G|-1)/(d-1)) members
     or more, and the scan stops once that reaches the best size found.  Among
     orders that reach the minimum, the witness comes from the largest.  The
-    lattice is built only once some divisor qualifies.
+    lattice is built only once some divisor qualifies.  A nilpotent group
+    is answered by _nilpotent_pencil, whose members share one order.
     """
     if is_cyclic(G):
         return INFINITY, None
+    pencil = _nilpotent_pencil(G)
+    if pencil is not None:
+        return pencil[0] + 1, _witness(G, "EqualCovering", "epsilon", pencil[1])
     n = G.order
     p = smallest_prime_divisor(n)
     stop_at = max(3, p + 1)
@@ -685,20 +739,61 @@ def epsilon(
     return best, _witness(G, "EqualCovering", "epsilon", best_family)
 
 
+def _desarguesian_spread(G: GroupTable, p: int) -> list[Subgroup] | None:
+    """A least partition of G, elementary abelian of order p^k with k >= 2.
+
+    With t = ceil(k/2) and q = p^t, an element's first t coordinates over a
+    greedy GF(p) basis are the base-p digits of x in GF(q), and the rest
+    those of y; for odd k this reads G as the hyperplane of GF(q)^2 whose
+    last digit is 0.  The q + 1 lines y = λx and x = 0 meet pairwise in 0
+    and cover, and for odd k each meets the hyperplane in dimension
+    t - 1 >= 1.  Beutelspacher (1979): no partition of GF(p)^k has fewer
+    than p^t + 1 blocks.  None when q is above gf.MAX_Q.
+    """
+    from .gf import MAX_Q, small_field
+
+    k = factorize(G.order)[p]
+    t = -(-k // 2)
+    if p**t > MAX_Q:
+        return None
+    F = small_field(p**t)
+    C = _gf_coordinates(G, p, k)
+    digits = p ** np.arange(t)
+    x, y = C[:, :t] @ digits, C[:, t:] @ digits[:k - t]
+    line = np.where(x == 0, F.q, np.array(F.mul)[np.array(F.inv)[x], y])
+    line[0] = -1  # the identity is in every block
+    return [Subgroup.from_members([0, *np.flatnonzero(line == b).tolist()]) for b in range(F.q + 1)]
+
+
 def rho(
     G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT
 ) -> tuple[int | float, Certificate | None]:
     """Minimum partition size (pairwise-trivial intersections); Infinity if none.
 
-    A partition tiles the non-identity elements exactly, so this is an
-    exact-cover search over all proper nontrivial subgroups, stopped at a
-    proven lower bound.  Two blocks H, K meet trivially, so |H||K| <= |G|.
-    With m the order of a largest block, each other block covers at most
-    min(m, |G|/m) - 1 of the |G| - m elements outside it, so
+    Abelian and nilpotent groups are answered from theory first, at any
+    order.  A nilpotent group that is not a p-group has no partition (Baer,
+    Kegel and Suzuki, 1961), nor has an abelian p-group of exponent above p
+    (Kontorovich, 1939); an elementary abelian group gets the spread of
+    _desarguesian_spread.  Otherwise a partition tiles the non-identity
+    elements exactly, so this is an exact-cover search over all proper
+    nontrivial subgroups, stopped at a proven lower bound.  Two blocks H, K
+    meet trivially, so |H||K| <= |G|.  With m the order of a largest block,
+    each other block covers at most min(m, |G|/m) - 1 of the |G| - m
+    elements outside it, so
     rho(G) >= min over block orders m of 1 + ceil((|G| - m) / (min(m, |G|/m) - 1)).
     """
     if is_cyclic(G):
         return INFINITY, None
+    p = p_group_prime(G)
+    if p is None:
+        if is_nilpotent(G):
+            return INFINITY, None
+    elif is_abelian(G):
+        if exponent(G) > p:
+            return INFINITY, None
+        spread = _desarguesian_spread(G, p)
+        if spread is not None:
+            return len(spread), _witness(G, "Partition", "rho", spread)
     n = G.order
     if n > PARTITION_SEARCH_LIMIT:
         raise SearchBudgetExceeded(

@@ -649,6 +649,8 @@ def _build_cayley_file(path: str, spec_text: str) -> GroupTable:
     rows = payload["table"]
     if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
         raise SpecError(f"{path}: table shape does not match order {n}")
+    if n > MAX_ORDER:
+        raise OrderLimitExceeded(f"table order {n} exceeds {MAX_ORDER}")
     try:
         table = np.array(rows, dtype=np.int64)
     except ValueError:
@@ -824,10 +826,7 @@ def build_group(spec: GroupSpec | str) -> GroupTable:
             built = GroupTable(built.table, meta, built.generators)
         return built
     if f == "cayley":
-        G = _build_cayley_file(spec.path, spec.text())
-        if G.order > MAX_ORDER:
-            raise OrderLimitExceeded(f"table order {G.order} exceeds {MAX_ORDER}")
-        return G
+        return _build_cayley_file(spec.path, spec.text())
     if f == "perm":
         gens = _load_permutation_file(spec.path)
         return _close_and_tabulate(gens, "perm", spec.text(), ())

@@ -443,7 +443,7 @@ def test_lattice_limit_exit_3_and_flag_positions():
 
 
 def test_invariants_build_no_lattice_they_do_not_need(monkeypatch, capsys):
-    """A cyclic sigma and an over-limit rho answer without enumerating subgroups."""
+    """A cyclic sigma, a nilpotent rho and an over-limit rho answer without enumerating subgroups."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the subgroup lattice was enumerated")
@@ -451,9 +451,11 @@ def test_invariants_build_no_lattice_they_do_not_need(monkeypatch, capsys):
     monkeypatch.setattr(lattice, "enumerate_subgroups", refuse)
     assert cli.main(["sigma", "C1500"]) == 0
     assert capsys.readouterr().out == "sigma(C1500) = infinity\n"
-    assert cli.main(["rho", "C2xC600"]) == 3
+    assert cli.main(["rho", "C2xC600"]) == 0
+    assert capsys.readouterr() == ("rho(C2xC600) = infinity\n", "")
+    assert cli.main(["rho", "D402"]) == 3
     err = capsys.readouterr().err
-    assert err == "resource limit: partition search is limited to order 200, got 1200\n"
+    assert err == "resource limit: partition search is limited to order 200, got 402\n"
 
 
 def test_epsilon_and_partition_answer_from_the_exponent_alone(monkeypatch, capsys):

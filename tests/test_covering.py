@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from ecov import covering
-from ecov.analysis import is_cyclic
+from ecov import covering, lattice
+from ecov.analysis import index_p_subgroups, is_cyclic, is_nilpotent
 from ecov.census import catalog
 from ecov.covering import (
     _LADDER,
@@ -844,22 +844,146 @@ def test_sigma_and_epsilon_of_elementary_abelian_are_p_plus_one(grp, spec, p):
     assert verify_certificate(G, witness).ok and len(witness.members) == p + 1
 
 
+def assert_partition(G, members):
+    """Each member is a proper nontrivial subgroup, and the members tile G minus the identity."""
+    rows = G.table.tolist()
+    for m in members:
+        inside = set(m)
+        assert 0 in inside and 1 < len(m) < G.order
+        assert all(rows[a][b] in inside for a in m for b in m)
+    others = sorted(x for m in members for x in m if x)
+    assert others == list(range(1, G.order))
+
+
+_ELEMENTARY = [(f"E({q},{k})", q, k) for q, k in [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3), (7, 2), (2, 7), (2, 8), (3, 5)]]
+
+
 @pytest.mark.parametrize(
-    "q,k", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3), (7, 2)]
+    "spec,q,k",
+    _ELEMENTARY + [("C5xC5", 5, 2), ("C2xC2xC2", 2, 3)],
+    ids=[f"{q}-{k}" for _, q, k in _ELEMENTARY] + ["C5xC5", "C2xC2xC2"],
 )
-def test_rho_of_elementary_abelian_is_beutelspacher(grp, q, k):
-    """rho(E(q,k)) = q^ceil(k/2) + 1 (Beutelspacher 1979)."""
-    G = grp(f"E({q},{k})")
+def test_rho_of_elementary_abelian_is_beutelspacher(grp, spec, q, k):
+    """rho(E(q,k)) = q^ceil(k/2) + 1 (Beutelspacher 1979), also above the
+    search limit and for elementary abelian groups not spelled E(q,k)."""
+    G = grp(spec)
     value, witness = rho(G)
     assert value == q ** -(-k // 2) + 1
     assert witness.mode == "Partition" and len(witness.members) == value
+    assert_partition(G, witness.members)
     assert verify_certificate(G, witness).ok
 
 
+def search_only(monkeypatch):
+    """Route sigma, epsilon and rho through the lattice and the search: with
+    no group seen as nilpotent or abelian, no theory path applies."""
+    monkeypatch.setattr(covering, "is_nilpotent", lambda G: False)
+    monkeypatch.setattr(covering, "is_abelian", lambda G: False)
+
+
 def test_searches_finish_within_a_small_node_budget(grp, monkeypatch):
+    search_only(monkeypatch)
     monkeypatch.setattr(covering, "_SEARCH_NODE_BUDGET", 5_000)
     assert rho(grp("E(2,6)"))[0] == 9
     assert epsilon(grp("E(2,5)"))[0] == 3
+
+
+# ---------------------------------------------------------------------------
+# Nilpotent groups from theory, with no lattice and no search
+
+
+def element_orders_by_powering(G):
+    rows = G.table.tolist()
+    orders = [1]
+    for g in range(1, G.order):
+        x, k = g, 1
+        while x != 0:
+            x, k = rows[x][g], k + 1
+        orders.append(k)
+    return orders
+
+
+def least_noncyclic_sylow_prime(G):
+    """For nilpotent G, the least prime p whose Sylow p-subgroup is not cyclic:
+    no element has the full p-part of |G| as its order."""
+    n, orders = G.order, set(element_orders_by_powering(G))
+    for p in range(2, n + 1):
+        if n % p == 0 and _is_prime(p):
+            part = p ** next(a for a in range(1, n) if n % p ** (a + 1))
+            if part not in orders:
+                return p
+    return None
+
+
+_NILPOTENT_UP_TO_16 = [
+    e.spec.text() for e in catalog(16) if is_nilpotent(build_group(e.spec)) and not is_cyclic(build_group(e.spec))
+] + ["C2xC2xC4", "C2xD8", "C2xQ8", "C3xC6"]
+
+
+@pytest.mark.parametrize("spec", _NILPOTENT_UP_TO_16)
+def test_sigma_and_epsilon_of_nilpotent_groups_are_cohn(grp, spec):
+    """sigma = epsilon = p + 1, p the least prime whose Sylow subgroup is not
+    cyclic (Cohn 1994), and so is the power-set search.  C3xC6 = C2 x E(3,2)
+    has p = 3, not its least prime divisor 2."""
+    G = grp(spec)
+    p = least_noncyclic_sylow_prime(G)
+    result = sigma(G)
+    value, witness = epsilon(G)
+    assert result.value == value == p + 1 == brute_invariant(G, "sigma") == brute_invariant(G, "epsilon")
+    assert result.bounds_log[0][0] == p + 1 and "Cohn" in result.bounds_log[0][1]
+    for cert, mode in ((result.witness, "Covering"), (witness, "EqualCovering")):
+        assert cert.mode == mode and len(cert.members) == p + 1
+        assert {len(m) for m in cert.members} == {G.order // p}
+        assert verify_certificate(G, cert).ok
+
+
+_NILPOTENT_UP_TO_96 = [
+    e.spec.text() for e in catalog(96) if is_nilpotent(build_group(e.spec)) and not is_cyclic(build_group(e.spec))
+]
+
+
+def test_nilpotent_theory_equals_the_search(grp, monkeypatch):
+    """On every nilpotent non-cyclic catalog(96) group, sigma, epsilon and rho
+    from theory equal the search path's values."""
+    assert len(_NILPOTENT_UP_TO_96) == 80
+    theory = {spec: (sigma(grp(spec)).value, epsilon(grp(spec))[0], rho(grp(spec))[0]) for spec in _NILPOTENT_UP_TO_96}
+    search_only(monkeypatch)
+    for spec in _NILPOTENT_UP_TO_96:
+        G = grp(spec)
+        assert theory[spec] == (sigma(G).value, epsilon(G)[0], rho(G)[0]), spec
+
+
+def test_nilpotent_witness_is_the_pencil_of_the_first_two_index_p_subgroups(grp):
+    """The sigma and epsilon witness is every index_p_subgroups(G, p) member
+    containing the meet of the first two listed, for p the least prime whose
+    Sylow subgroup is not cyclic; the engine finds them without listing the rest."""
+    for spec in _NILPOTENT_UP_TO_96 + ["E(2,7)", "C4xC4xC4", "D8xD8", "E(5,3)xC4"]:
+        G = grp(spec)
+        members = index_p_subgroups(G, least_noncyclic_sylow_prime(G))
+        meet = set(members[0]) & set(members[1])
+        pencil = tuple(m for m in members if meet <= set(m))
+        assert sigma(G).witness.members == epsilon(G)[1].members == pencil, spec
+
+
+@pytest.mark.parametrize("spec", ["C2xC4", "C4xC4", "C3xC9"])
+def test_abelian_p_groups_of_exponent_above_p_have_no_partition(grp, spec):
+    """Kontorovich 1939, checked by the power-set search."""
+    G = grp(spec)
+    assert rho(G) == (INFINITY, None)
+    assert brute_invariant(G, "rho") == INFINITY
+
+
+def test_nilpotent_invariants_build_no_lattice_and_run_no_search(monkeypatch):
+    """C2xC1000 is above the lattice limit, E(2,8) and E(3,5) above the partition search limit."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice or the search was used")
+
+    monkeypatch.setattr(lattice, "enumerate_subgroups", refuse)
+    monkeypatch.setattr(covering, "_min_cover", refuse)
+    for spec, values in (("E(2,8)", (3, 3, 17)), ("E(3,5)", (4, 4, 28)), ("C2xC1000", (3, 3, INFINITY))):
+        G = build_group(spec)
+        assert (sigma(G).value, epsilon(G)[0], rho(G)[0]) == values, spec
 
 
 @pytest.mark.parametrize(

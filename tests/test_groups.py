@@ -538,6 +538,21 @@ def test_only_cayley_files_go_through_verify_table(monkeypatch, tmp_path, capsys
     assert calls == [60, 5, 5]
 
 
+def test_over_limit_cayley_file_is_refused_before_it_is_copied_or_verified(monkeypatch, tmp_path, capsys):
+    """The declared order is checked against MAX_ORDER before the table is
+    copied to an array and run through verify_table."""
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps({"order": 60, "table": build_group("A5").table.tolist()}), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(groups, "verify_table", lambda T: calls.append(len(T)))
+    monkeypatch.setattr(groups, "MAX_ORDER", 59)
+    with pytest.raises(OrderLimitExceeded, match="table order 60 exceeds 59"):
+        build_group(f"cayley:{path}")
+    assert cli.main(["describe", f"cayley:{path}"]) == 3
+    assert capsys.readouterr() == ("", "resource limit: table order 60 exceeds 59\n")
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Built tables are groups by construction
 #
