@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .analysis import is_abelian, is_nilpotent, is_simple, is_square_free_distinct_primes
 from .covering import FULL_LATTICE_LIMIT, decide, decide_with_hints, load_hints
-from .errors import EcovError, UnknownFormat
+from .errors import EcovError, SpecError, UnknownFormat
 from .groups import GroupSpec, _is_prime, build_group, exponent, parse_group_spec, spec_order
 
 __all__ = [
@@ -85,8 +85,11 @@ def catalog(max_order: int = 60) -> list[CatalogEntry]:
     """Constructor-family catalog up to max_order, deduplicated by spec text.
 
     Expectations are attached only where an external source or a structural
-    theorem forces the status; every other entry carries none.
+    theorem forces the status; every other entry carries none.  A
+    ``max_order`` below 1 gives the empty catalog.
     """
+    if max_order < 1:
+        return []
     entries: list[CatalogEntry] = []
     seen: set[str] = set()
 
@@ -212,9 +215,19 @@ def _hint_nilpotent(order: int, maximal_orders: list[int]) -> bool | None:
     return None
 
 
-def _hint_rows(hints_dir: str, result: CensusResult) -> list[CensusRow]:
+def _hint_files(hints_dir: str | None) -> list[Path]:
+    """The sorted ``*.json`` files of the hint directory; none without one."""
+    if hints_dir is None:
+        return []
+    try:
+        return sorted(path for path in Path(hints_dir).iterdir() if path.name.endswith(".json"))
+    except OSError as exc:
+        raise SpecError(f"cannot read hint directory {hints_dir}: {exc}") from None
+
+
+def _hint_rows(paths: list[Path], result: CensusResult) -> list[CensusRow]:
     rows = []
-    for path in sorted(Path(hints_dir).glob("*.json")):
+    for path in paths:
         try:
             doc = load_hints(str(path))
             t0 = time.perf_counter()
@@ -257,8 +270,11 @@ def run_census(
 
     Entries are decided one after another, in order, so errors are reported
     in entry order; rows come back sorted by (order, name).  ``jobs`` is
-    accepted for interface compatibility and has no effect.
+    accepted for interface compatibility and has no effect.  A hint
+    directory that cannot be listed raises ``SpecError`` before any entry
+    is decided.
     """
+    hint_files = _hint_files(hints_dir)
     result = CensusResult()
     for entry in entries:
         try:
@@ -275,8 +291,7 @@ def run_census(
                 f"({entry.expected_source}), got {row.equal_covering} via {row.method}"
             )
 
-    if hints_dir is not None:
-        result.rows.extend(_hint_rows(hints_dir, result))
+    result.rows.extend(_hint_rows(hint_files, result))
 
     result.rows.sort(key=lambda r: (r.order, r.name))
     return result

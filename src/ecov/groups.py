@@ -216,7 +216,7 @@ class GroupTable:
     """Immutable multiplication table with identity at index 0.
 
     ``table`` is the only form of the group: scalar reads go to the array,
-    and loops that need plain lists build them from it for one call.
+    and closures read its rows in place, as memoryviews.
     ``table`` must be a group table, which is not checked here: builders
     make one by construction, and ``cayley:`` files pass ``verify_table``.
     ``generators`` must generate it: the center and conjugation maps use them alone.
@@ -314,14 +314,16 @@ class TableReport:
         return self.ok
 
 
-def _close(maps: list[list[int]], seed, half: int | None = None) -> set[int] | None:
+def _close(maps: list, seed, half: int | None = None) -> set[int] | None:
     """The seed closed under a list of index maps, by a list-based search.
 
-    Right multiplication by g is the map ``T[:, g].tolist()``; conjugation by
-    g is ``lattice._conjugation_maps``.  With ``half`` given, returns None
-    once the set has more than ``half`` elements: when the closure lies in a
+    A map is an index sequence: a table row read in place,
+    ``memoryview(T[a])``, is y -> a*y, and conjugation by g is
+    ``lattice._conjugation_maps``.  With ``half`` given, returns None once
+    the set has more than ``half`` elements: when the closure lies in a
     subgroup of a group of order n, more than n/2 elements means the whole
-    group (Lagrange).  Unverified tables must close fully.
+    group (Lagrange).  Unverified tables must close fully, and
+    ``_generating_set`` says why it passes columns.
     """
     members = set(seed)
     queue = list(members)
@@ -342,7 +344,9 @@ def _generating_set(T: np.ndarray) -> tuple[int, ...]:
 
     The closure is taken under right multiplication starting from the
     identity.  While it misses an element, the least missing element is
-    added as a generator.
+    added as a generator.  It keeps columns: on a table not yet known to be
+    associative a left closure can differ, and so would the generators a
+    ``cayley:`` group stores and the witness Light's test names.
     """
     n = int(T.shape[0])
     gens, maps, seen = [], [], {0}

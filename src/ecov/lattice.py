@@ -10,13 +10,10 @@ so only one coset Hg per orbit of the normaliser N_G(H) is extended.  Both
 annotations come out of the enumeration: a subgroup is normal exactly when
 its class has one member, and a proper subgroup is maximal exactly when
 every extension of its class representative is the whole group.
-Every closure goes through one list kernel, ``groups._close``: a seed
-closed under index maps, which are columns of the table (right
-multiplications) or the conjugation maps.  A normal closure closes the
-identity under its seed elements' columns and the conjugation maps, so it
-needs one map per seed element and per group generator.  Only the
-lattice, whose extensions range over every element, takes all columns at
-once.
+Every closure goes through one kernel, ``groups._close``: a seed closed
+under index maps, which are the conjugation maps or rows of the table,
+left multiplications read in place as memoryviews, so no closure copies
+the table.  A normal closure takes its seed elements' rows.
 Normal subgroups can also be found without the full lattice, as joins of
 the normal closures of element classes, so decision rules can run on
 groups too large to enumerate fully.
@@ -173,8 +170,7 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
         raise LatticeLimitExceeded(
             f"group order {n} exceeds the lattice limit {limit}; raise --lattice-limit to force"
         )
-    ints = np.arange(n).astype(object)
-    cols = [ints[c].tolist() for c in G.table.T]  # n shared ints, not n^2 fresh ones
+    R = [memoryview(row) for row in G.table]  # R[a][b] is a*b, read from the table in place
     identity = list(range(n))
     inv = G.inverse
     maps = [cmap for cmap in _conjugation_maps(G) if cmap != identity]
@@ -210,23 +206,23 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
                 continue
             minima.append(g)
             for h in H.members:
-                covered |= 1 << cols[g][h]
+                covered |= 1 << R[h][g]
         if maps and len(minima) > 1:  # a lone minimum is its own orbit
             index = n // (H.order * len(orbit))  # |N_G(H) : H|
             known = index in (1, len(minima) + 1)  # N_G(H) is H or G; else Hg lies in it when g^-1 H g = H
-            normalising = [g for g in [0, *minima] if known or all(H.mask >> cols[g][cols[h][inv[g]]] & 1 for h in H.generators)]
-            label = {cols[g][h]: g for g in minima for h in H.members}  # the least element of each coset Hy outside H
-            conj = [(cols[x], inv[x]) for g in normalising[:index] for x in (cols[g][h] for h in H.members)]
+            normalising = [g for g in [0, *minima] if known or all(H.mask >> R[R[inv[g]][h]][g] & 1 for h in H.generators)]
+            label = {R[h][g]: g for g in minima for h in H.members}  # the least element of each coset Hy outside H
+            conj = [(R[inv[x]], x) for g in normalising[:index] for x in (R[h][g] for h in H.members)]
             kept, reached = [], set()
             for g in minima:
                 if g not in reached:
                     kept.append(g)
-                    reached.update([label[cx[cols[g][ix]]] for cx, ix in conj])  # cosets of x^-1 g x
+                    reached.update([label[R[rx[g]][x]] for rx, x in conj])  # cosets of x^-1 g x
             minima = kept
         any_proper = False
         for g in minima:
             gens = H.generators + (g,)
-            members = _close([cols[x] for x in gens], H.members + (g,), n // 2)
+            members = _close([R[x] for x in gens], H.members + (g,), n // 2)
             any_proper = any_proper or members is not None
             K = _subgroup(G, members, gens)
             if K.mask not in seen:
@@ -274,18 +270,17 @@ def element_conjugacy_classes(G: GroupTable) -> list[tuple[int, ...]]:
 def normal_closure(G: GroupTable, elements) -> Subgroup:
     """Least normal subgroup containing the given elements.
 
-    Let S be the identity closed under right multiplication by each x in
+    Let S be the identity closed under left multiplication by each x in
     X (the given elements) and under conjugation by each group generator.
     S lies in <X^G>, which is normal and holds X.  S is closed under
     conjugation by all of G, since the generators' conjugations generate
     the inner automorphisms.  So for s in S, x in X and g in G,
-    s * g^-1 x g = g^-1 (g s g^-1 * x) g lies in S: S is closed under right
+    g^-1 x g * s = g^-1 (x * g s g^-1) g lies in S: S is closed under left
     multiplication by every conjugate of X, and holds the identity, so it
     holds <X^G>.  Hence S = <X^G>, from |X| + |gens| maps.
     """
     seed = tuple(sorted({int(x) for x in elements} - {0}))
-    T = G.table
-    maps = [T[:, x].tolist() for x in seed] + _conjugation_maps(G)
+    maps = [memoryview(G.table[x]) for x in seed] + _conjugation_maps(G)
     return _subgroup(G, _close(maps, (0,), G.order // 2), seed)
 
 

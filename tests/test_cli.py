@@ -259,6 +259,26 @@ def test_census_hints_append_rows():
     assert lines[-1] == "M12,95040,1320,false,No,HintC1,0"
 
 
+@pytest.mark.parametrize("max_order", ["0", "-1", "-100"])
+def test_census_below_order_1_is_the_empty_catalog(capsys, max_order):
+    assert cli.main(["census", "--max-order", max_order]) == 0
+    out, err = capsys.readouterr()
+    assert out == "name,order,exponent,nilpotent,equal_covering,method,elapsed_ms\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_census_unreadable_hint_directory_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "hints"
+    if kind == "file":
+        shutil.copy(f"{HINTS_DIR}/m11.json", path)
+    assert cli.main(["census", "--max-order", "6", "--hints", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read hint directory {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_census_timing_fills_elapsed():
     proc = run("census", "--max-order", "6", "--timing")
     cells = [line.rsplit(",", 1)[1] for line in proc.stdout.splitlines()[1:]]

@@ -132,10 +132,11 @@ def test_lattice_cache_frees_the_group_without_the_cycle_collector():
         ("PSL(2,11)", 620, 16),
         ("PSL(2,13)", 942, 16),
         ("S6", 1455, 56),
+        ("A7", 3786, 40),
     ],
 )
 def test_subgroup_and_class_counts_match_theory(grp, spec, subgroups, classes):
-    L = get_lattice(grp(spec))
+    L = get_lattice(grp(spec), 2520)
     assert (len(L.subgroups), len(L.classes)) == (subgroups, classes)
 
 
@@ -349,6 +350,20 @@ def test_normal_scan_builds_no_square_list():
         tracemalloc.stop()
     assert len(normals) == 21  # 18 rotation subgroups, two dihedral halves of index 2, G
     assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_lattice_builds_no_square_list():
+    """Closures read the int16 table's rows in place: no n x n copy of it,
+    which for PSL(2,13) as Python lists would take about 9.5 MB."""
+    G = build_group("PSL(2,13)")
+    tracemalloc.start()
+    try:
+        L = enumerate_subgroups(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(L) == 942
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_generated_subgroup(grp):
