@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, _is_prime, exponent, factorize, quotient, smallest_prime_divisor
+from .groups import GroupTable, _is_prime, _power, exponent, factorize, quotient, smallest_prime_divisor
 from .lattice import Subgroup, element_conjugacy_classes, normal_closure
 
 __all__ = [
@@ -146,13 +146,11 @@ def elementary_abelian_quotient(G: GroupTable, p: int) -> tuple[int, Subgroup]:
     T = G.table
     inv = G.inverse
     gens = G.generators
+    powers = _power(T, np.asarray(gens, dtype=np.intp), p)  # intp: a trivial group has no generators
     seed: set[int] = set()
-    for a in gens:
+    for a, x in zip(gens, powers):
         for b in gens:
             seed.add(int(T[T[T[a, b], inv[a]], inv[b]]))
-        x = a
-        for _ in range(p - 1):
-            x = T[x, a]
         seed.add(int(x))
     N = normal_closure(G, seed)
     index = G.order // N.order

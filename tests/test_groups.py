@@ -586,6 +586,14 @@ def test_built_tables_are_groups(spec):
     _assert_group_table(build_group(spec).table, spec)
 
 
+def test_every_catalog_table_passes_verify_table():
+    specs = [entry.spec.text() for entry in catalog(240)]
+    specs += ["M11", "PSL(2,16)", "PSL(2,25)", "A7", "S7", "C1510"]
+    bad = [(spec, report.code, report.witness) for spec in specs if not (report := verify_table(build_group(spec).table)).ok]
+    assert len(specs) == 897
+    assert bad == []
+
+
 @pytest.mark.parametrize(
     "text,order",
     [
