@@ -18,16 +18,16 @@ q^ceil(k/2) + 1 on E(q,k) (Beutelspacher 1979).  Other groups go to one
 branch-and-bound search, _min_cover, whose partition mode differs only in
 keeping live the members disjoint from what is covered and in its
 branching pick.  The search has no greedy start: it counts only covers
-smaller than the bound it is given.  Every witness is verified the same
-way.  equal_partition_exists answers by Isaacs' theorem, with no search.
-A function that needs the subgroup lattice takes it from
-get_lattice, which caches it on the group.
+smaller than the bound it is given.  One work budget, _SEARCH_BUDGET,
+bounds all three searches; a node costs 1 plus the candidate members it
+reads.  Every witness is verified the same way.  equal_partition_exists
+answers by Isaacs' theorem, with no search.  A function that needs the
+subgroup lattice takes it from get_lattice, which caches it on the group.
 """
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -67,7 +67,6 @@ from .lattice import (
 
 __all__ = [
     "INFINITY",
-    "PARTITION_SEARCH_LIMIT",
     "CITATIONS",
     "Certificate",
     "CertificateReport",
@@ -86,8 +85,7 @@ __all__ = [
 ]
 
 INFINITY = math.inf
-PARTITION_SEARCH_LIMIT = 200
-_SEARCH_NODE_BUDGET = 2_000_000
+_SEARCH_BUDGET = 5_000_000
 
 CERTIFICATE_MODES = (
     "Covering",
@@ -275,11 +273,10 @@ class Decision:
     method: str
     citation: str
     certificate: Certificate | None = None
-    elapsed: float = 0.0
 
 
-def _decision(status: str, method: str, certificate: Certificate | None, t0: float) -> Decision:
-    return Decision(status, method, CITATIONS[method], certificate, time.perf_counter() - t0)
+def _decision(status: str, method: str, certificate: Certificate | None = None) -> Decision:
+    return Decision(status, method, CITATIONS[method], certificate)
 
 
 def _verify_yes(G: GroupTable, cert: Certificate, method: str) -> None:
@@ -314,13 +311,11 @@ def equal_covering_exhaustive(G: GroupTable, lattice_limit: int = FULL_LATTICE_L
     order d exists (any such covering only grows by adding the rest).  The
     lattice is built only once some divisor qualifies.
     """
-    t0 = time.perf_counter()
     for d in qualifying_divisors(G.order, exponent(G)):
         fams = _covering_family(get_lattice(G, lattice_limit), d)
         if fams is not None:
-            cert = _witness(G, "EqualCovering", "Exhaustive", fams)
-            return _decision("Yes", "Exhaustive", cert, t0)
-    return _decision("No", "Exhaustive", None, t0)
+            return _decision("Yes", "Exhaustive", _witness(G, "EqualCovering", "Exhaustive", fams))
+    return _decision("No", "Exhaustive")
 
 
 def _preimage(cert: Certificate, proj) -> Certificate:
@@ -471,7 +466,6 @@ def decide(
         raise SpecError(f"unknown decide mode {mode!r}")
     if mode == "exhaustive":
         return equal_covering_exhaustive(G, lattice_limit=lattice_limit)
-    t0 = time.perf_counter()
     pull_back = partial(_pull_back, lattice_limit, _depth, {} if _memo is None else _memo)
     for tag, rule in _LADDER:
         found = rule(G, pull_back)
@@ -481,7 +475,7 @@ def decide(
             status, cert = found
             if status == "Yes":
                 _verify_yes(G, cert, tag)
-            return _decision(status, tag, cert, t0)
+            return _decision(status, tag, cert)
     if mode == "rules":
         raise RulesInconclusive(
             f"no structural rule settles {G.meta.name}; exhaustive search disabled"
@@ -532,13 +526,12 @@ def decide_with_hints(
     remaining candidate orders; only a negative outcome is usable.  This
     path never proves Yes.
     """
-    t0 = time.perf_counter()
     if order < 2 or exponent < 1 or order % exponent or not maximal_orders:
         raise HintFileError(f"inconsistent hint data for {name}")
     if all(m % exponent for m in maximal_orders):
-        return _decision("No", "HintC1", None, t0)
+        return _decision("No", "HintC1")
     if exponent_multiple_union_covers is False:
-        return Decision("No", "HintC1", _HINT_UNION_CITATION, None, time.perf_counter() - t0)
+        return Decision("No", "HintC1", _HINT_UNION_CITATION)
     raise InconclusiveHints(
         f"{name}: some maximal subgroup order is a multiple of the exponent; "
         "the divisibility rule cannot conclude and this path never proves Yes"
@@ -550,17 +543,20 @@ def decide_with_hints(
 
 
 class _Budget:
-    __slots__ = ("nodes", "limit")
+    """Work units a search may spend: a node costs 1 plus the candidate
+    members it reads, so cover and partition nodes are charged alike."""
+
+    __slots__ = ("spent", "limit")
 
     def __init__(self, limit: int):
-        self.nodes = 0
+        self.spent = 0
         self.limit = limit
 
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
+    def tick(self, cost: int):
+        self.spent += cost
+        if self.spent > self.limit:
             raise SearchBudgetExceeded(
-                f"search exceeded {self.limit} nodes; the instance is beyond desk scale"
+                f"search exceeded {self.limit} work units; the instance is beyond desk scale"
             )
 
 
@@ -597,32 +593,33 @@ def _min_cover(
 
     def dfs(covered: int, chosen: list[int], start: int):
         nonlocal best, best_chosen
-        budget.tick()
         remaining = target & ~covered
+        pick, reads = (), 0
         if remaining == 0:
             if len(chosen) < best:
                 best, best_chosen = len(chosen), tuple(chosen)
-            return
-        if disjoint:
-            pick, widest = None, 0
+        elif disjoint:
+            widest = 0
             for x, cands in element_sets:
                 if not (remaining >> x) & 1:
                     continue
+                reads += len(cands)
                 live = [i for i in cands if not masks[i] & covered]
                 if not live:
-                    return
+                    pick = ()
+                    break
                 widest = max(widest, sizes[live[0]])
-                if pick is None or len(live) < len(pick):
+                if not pick or len(live) < len(pick):
                     pick = live
-            if len(chosen) + -(-remaining.bit_count() // widest) >= best:
-                return
-        else:
-            if len(chosen) + -(-remaining.bit_count() // max_gain) >= best:
-                return
+            if pick and len(chosen) + -(-remaining.bit_count() // widest) >= best:
+                pick = ()
+        elif len(chosen) + -(-remaining.bit_count() // max_gain) < best:
             # element_sets[:start] is covered: each ancestor covered the element it branched on
             while not (remaining >> element_sets[start][0]) & 1:
                 start += 1
             pick = sorted(element_sets[start][1], key=lambda i: -(masks[i] & remaining).bit_count())
+            reads = len(pick)
+        budget.tick(1 + reads)
         for i in pick:
             chosen.append(i)
             dfs(covered | masks[i], chosen, start + 1)
@@ -690,7 +687,7 @@ def sigma(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> SigmaResult
         (3, "no group is the union of two proper subgroups"),
         (p + 1, f"no union of {p} or fewer proper subgroups covers (least prime {p})"),
     ]
-    found = _min_cover(maximal_subgroups(L), n, lower, _Budget(_SEARCH_NODE_BUDGET))
+    found = _min_cover(maximal_subgroups(L), n, lower, _Budget(_SEARCH_BUDGET))
     if found is None:  # pragma: no cover - non-cyclic groups are always coverable
         raise AssertionError("maximal subgroups fail to cover a non-cyclic group")
     value, chosen = found
@@ -719,7 +716,7 @@ def epsilon(
     n = G.order
     p = smallest_prime_divisor(n)
     stop_at = max(3, p + 1)
-    budget = _Budget(_SEARCH_NODE_BUDGET)
+    budget = _Budget(_SEARCH_BUDGET)
     best: int | float = INFINITY
     best_family: tuple[Subgroup, ...] = ()
     for d in reversed(qualifying_divisors(n, exponent(G))):
@@ -776,7 +773,8 @@ def rho(
     (Kontorovich, 1939); an elementary abelian group gets the spread of
     _desarguesian_spread.  Otherwise a partition tiles the non-identity
     elements exactly, so this is an exact-cover search over all proper
-    nontrivial subgroups, stopped at a proven lower bound.  Two blocks H, K
+    nontrivial subgroups, under the lattice limit and the work budget
+    that sigma and epsilon have, stopped at a proven lower bound.  Two blocks H, K
     meet trivially, so |H||K| <= |G|.  With m the order of a largest block,
     each other block covers at most min(m, |G|/m) - 1 of the |G| - m
     elements outside it, so
@@ -795,14 +793,10 @@ def rho(
         if spread is not None:
             return len(spread), _witness(G, "Partition", "rho", spread)
     n = G.order
-    if n > PARTITION_SEARCH_LIMIT:
-        raise SearchBudgetExceeded(
-            f"partition search is limited to order {PARTITION_SEARCH_LIMIT}, got {n}"
-        )
     L = get_lattice(G, lattice_limit)
     blocks = [s for s in L.subgroups if 1 < s.order < n]
     lower = min((1 + -(-(n - m) // (min(m, n // m) - 1)) for m in {s.order for s in blocks}), default=0)
-    found = _min_cover(blocks, n, lower, _Budget(_SEARCH_NODE_BUDGET), disjoint=True)
+    found = _min_cover(blocks, n, lower, _Budget(_SEARCH_BUDGET), disjoint=True)
     if found is None:
         return INFINITY, None
     value, chosen = found

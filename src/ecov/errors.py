@@ -97,7 +97,7 @@ class LatticeLimitExceeded(ResourceLimitExceeded):
 
 
 class SearchBudgetExceeded(ResourceLimitExceeded):
-    """A search exceeded its node budget, or rho's order limit refused the group."""
+    """A search spent its work budget."""
 
 
 class UndefinedForOne(EcovError):

@@ -95,9 +95,6 @@ class SmallField:
                 break
         self.is_field = ok
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
-
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroDivisionError("division by zero in GF(q)")

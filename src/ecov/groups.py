@@ -209,7 +209,6 @@ class ConstructionMeta:
     name: str
     params: tuple = ()
     children: tuple["GroupTable", ...] = ()
-    action: tuple | None = None
 
 
 class GroupTable:
@@ -728,7 +727,7 @@ def semidirect_product(H: GroupTable, K: GroupTable, action) -> GroupTable:
         block = twist[:, :, None] * nK + TKa[k1][None, None, :]
         table[k1::nK, :] = block.reshape(nH, n)
     name = f"{H.meta.name}:{K.meta.name}"
-    meta = ConstructionMeta("semidirect", name, (), (H, K), action=phi)
+    meta = ConstructionMeta("semidirect", name, (), (H, K))
     gens = tuple(h * nK for h in H.generators) + tuple(K.generators)
     return GroupTable(table, meta, gens)
 
@@ -742,7 +741,7 @@ def _build_w() -> GroupTable:
         mult = pow(2, k, 5)
         action.append(tuple((mult * h) % 5 for h in range(5)))
     G = semidirect_product(H, K, action)
-    meta = ConstructionMeta("w", "W", (), G.meta.children, action=G.meta.action)
+    meta = ConstructionMeta("w", "W", (), G.meta.children)
     return GroupTable(G.table, meta, G.generators)
 
 

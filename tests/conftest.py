@@ -12,7 +12,7 @@ import pytest
 
 from ecov.analysis import center_members, is_cyclic
 from ecov.covering import (
-    _SEARCH_NODE_BUDGET,
+    _SEARCH_BUDGET,
     Certificate,
     _Budget,
     _covering_family,
@@ -145,7 +145,7 @@ def equal_partition_by_search(G: GroupTable) -> tuple[bool, Certificate | None]:
         if fams is None:
             continue
         if not _is_prime(d):
-            found = _min_cover(fams, n, (n - 1) // (d - 1), _Budget(_SEARCH_NODE_BUDGET), disjoint=True)
+            found = _min_cover(fams, n, (n - 1) // (d - 1), _Budget(_SEARCH_BUDGET), disjoint=True)
             if found is None:
                 continue
             fams = found[1]

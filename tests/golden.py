@@ -176,7 +176,7 @@ from ecov.census import catalog
 from ecov.covering import epsilon, equal_partition_exists, rho, sigma
 from ecov.groups import build_group
 groups = [(entry.display, entry.spec) for entry in catalog(96)]
-groups += [(text, text) for text in ("PSL(2,7)", "PSL(2,8)", "PSL(2,11)", "S5", "S6", "E(5,3)", "C6xC21")]
+groups += [(text, text) for text in ("PSL(2,7)", "PSL(2,8)", "PSL(2,11)", "S5", "S6", "A6", "D402", "E(5,3)", "C6xC21")]
 for key, spec in groups:
     G = build_group(spec)
     for name, value in (

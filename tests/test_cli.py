@@ -463,7 +463,7 @@ def test_lattice_limit_exit_3_and_flag_positions():
 
 
 def test_invariants_build_no_lattice_they_do_not_need(monkeypatch, capsys):
-    """A cyclic sigma, a nilpotent rho and an over-limit rho answer without enumerating subgroups."""
+    """A cyclic sigma and a nilpotent rho answer without enumerating subgroups."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the subgroup lattice was enumerated")
@@ -473,9 +473,12 @@ def test_invariants_build_no_lattice_they_do_not_need(monkeypatch, capsys):
     assert capsys.readouterr().out == "sigma(C1500) = infinity\n"
     assert cli.main(["rho", "C2xC600"]) == 0
     assert capsys.readouterr() == ("rho(C2xC600) = infinity\n", "")
-    assert cli.main(["rho", "D402"]) == 3
-    err = capsys.readouterr().err
-    assert err == "resource limit: partition search is limited to order 200, got 402\n"
+
+
+def test_rho_searches_above_order_200(capsys):
+    """rho has no order cut-off: D402 gets its 202 blocks, the rotations and the 201 reflections."""
+    assert cli.main(["rho", "D402"]) == 0
+    assert capsys.readouterr() == ("rho(D402) = 202\nwitness: 202 subgroups of orders {2, 201}\n", "")
 
 
 def test_epsilon_and_partition_answer_from_the_exponent_alone(monkeypatch, capsys):
@@ -493,8 +496,8 @@ def test_epsilon_and_partition_answer_from_the_exponent_alone(monkeypatch, capsy
 
 
 def test_partition_answers_at_any_order_without_a_lattice(monkeypatch, capsys):
-    """Isaacs' criterion reads the table alone: E(2,7) and E(3,5), of order
-    above the rho search limit, answer Yes with their order-p subgroups."""
+    """Isaacs' criterion reads the table alone: E(2,7) and E(3,5), whose
+    lattices are large, answer Yes with their order-p subgroups."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the subgroup lattice was enumerated")

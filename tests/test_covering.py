@@ -628,7 +628,7 @@ def test_set_cover_bound_ignores_the_identity_bit(grp, spec, order, value, disjo
     for family in (subs, [Subgroup(s.mask & ~1, s.members, s.generators) for s in subs]):
         budget = _Budget(10**6)
         size, chosen = _min_cover(family, G.order, 0, budget, disjoint=disjoint)
-        runs.append((size, [s.members for s in chosen], budget.nodes))
+        runs.append((size, [s.members for s in chosen], budget.spent))
     assert runs[0] == runs[1]
     assert runs[0][0] == value
 
@@ -721,17 +721,50 @@ def test_rho_infinite_for_q8_and_cyclic(grp):
     assert rho(grp("C6"))[0] == INFINITY
 
 
-def test_rho_size_guard():
+def test_rho_has_no_order_cut_off():
+    """rho searches above order 200: D202 has the rotations and its 101
+    reflections as a least partition, and no equal partition."""
     G = build_group("D202")
-    with pytest.raises(SearchBudgetExceeded):
-        rho(G)
-    # The rho order limit does not bind the equal-partition answer.
+    value, witness = rho(G)
+    assert value == 102 and len(witness.members) == 102
+    assert verify_certificate(G, witness).ok
     assert equal_partition_exists(G) == (False, None)
     E35 = build_group("E(3,5)")
     got, cert = equal_partition_exists(E35)
     assert got is True and len(cert.members) == (3**5 - 1) // 2
     assert {len(m) for m in cert.members} == {3}
     assert verify_certificate(E35, cert).ok
+
+
+_DIHEDRAL_UP_TO_200 = [e.spec.text() for e in catalog(200) if e.spec.family == "dihedral"]
+
+
+@pytest.mark.parametrize("spec", _DIHEDRAL_UP_TO_200 + ["D402"])
+def test_rho_of_dihedral_groups_is_n_plus_1(grp, spec):
+    """rho(D2n) = n + 1.  The block holding the rotation r holds <r>, the
+    whole rotation subgroup, and no reflection, since r and any reflection
+    generate G.  Every other block meets the rotations trivially, so it has
+    order at most 2."""
+    G = grp(spec)
+    n = G.order // 2
+    value, witness = rho(G)
+    assert value == len(witness.members) == n + 1
+    assert verify_certificate(G, witness).ok
+
+
+def test_rho_of_s6_is_infinite(grp):
+    """A finite group with a partition is a p-group, of Hughes-Thompson type,
+    Frobenius, PGL(2,q), PSL(2,q), Sz(q) or S4 (Baer, Kegel and Suzuki).
+    S6 is none of these: it is almost simple, so not Frobenius, and for each
+    prime p its elements of order other than p generate it (transpositions
+    for odd p; the 3-cycles and the odd 4-cycles for p = 2)."""
+    assert rho(grp("S6")) == (INFINITY, None)
+
+
+@pytest.mark.parametrize("invariant,spec", [(rho, "PSL(2,8)"), (sigma, "A6")], ids=["rho-PSL(2,8)", "sigma-A6"])
+def test_searches_beyond_desk_scale_spend_their_budget(grp, invariant, spec):
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 5000000 work units"):
+        invariant(grp(spec))
 
 
 @pytest.mark.parametrize(
@@ -864,8 +897,8 @@ _ELEMENTARY = [(f"E({q},{k})", q, k) for q, k in [(2, 4), (2, 5), (2, 6), (3, 3)
     ids=[f"{q}-{k}" for _, q, k in _ELEMENTARY] + ["C5xC5", "C2xC2xC2"],
 )
 def test_rho_of_elementary_abelian_is_beutelspacher(grp, spec, q, k):
-    """rho(E(q,k)) = q^ceil(k/2) + 1 (Beutelspacher 1979), also above the
-    search limit and for elementary abelian groups not spelled E(q,k)."""
+    """rho(E(q,k)) = q^ceil(k/2) + 1 (Beutelspacher 1979), also on large
+    lattices and for elementary abelian groups not spelled E(q,k)."""
     G = grp(spec)
     value, witness = rho(G)
     assert value == q ** -(-k // 2) + 1
@@ -882,10 +915,20 @@ def search_only(monkeypatch):
 
 
 def test_searches_finish_within_a_small_node_budget(grp, monkeypatch):
+    """Nodes, not work units: each node ticks the budget once."""
     search_only(monkeypatch)
-    monkeypatch.setattr(covering, "_SEARCH_NODE_BUDGET", 5_000)
-    assert rho(grp("E(2,6)"))[0] == 9
-    assert epsilon(grp("E(2,5)"))[0] == 3
+    nodes = []
+
+    class Counting(_Budget):
+        def tick(self, cost):
+            nodes.append(cost)
+            super().tick(cost)
+
+    monkeypatch.setattr(covering, "_Budget", Counting)
+    for run, value in ((lambda: rho(grp("E(2,6)"))[0], 9), (lambda: epsilon(grp("E(2,5)"))[0], 3)):
+        nodes.clear()
+        assert run() == value
+        assert 0 < len(nodes) <= 5_000
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +1017,7 @@ def test_abelian_p_groups_of_exponent_above_p_have_no_partition(grp, spec):
 
 
 def test_nilpotent_invariants_build_no_lattice_and_run_no_search(monkeypatch):
-    """C2xC1000 is above the lattice limit, E(2,8) and E(3,5) above the partition search limit."""
+    """C2xC1000 is above the lattice limit; E(2,8) and E(3,5) have large lattices."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the lattice or the search was used")
