@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import is_abelian, is_nilpotent, is_simple, is_square_free_distinct_primes
-from .covering import FULL_LATTICE_LIMIT, decide, decide_with_hints, load_hints
+from .covering import decide, decide_with_hints, load_hints
 from .errors import EcovError, SpecError, UnknownFormat
 from .groups import GroupSpec, _is_prime, build_group, exponent, parse_group_spec, spec_order
 
@@ -184,10 +184,10 @@ def _expectation_met(expected: str, status: str, method: str) -> bool:
     return False
 
 
-def _decide_entry(entry: CatalogEntry, lattice_limit: int) -> CensusRow:
+def _decide_entry(entry: CatalogEntry) -> CensusRow:
     t0 = time.perf_counter()
     G = build_group(entry.spec)
-    decision = decide(G, lattice_limit=lattice_limit)
+    decision = decide(G)
     elapsed = (time.perf_counter() - t0) * 1000.0
     note = ""
     if decision.status == "No" and not is_abelian(G) and is_simple(G):
@@ -264,7 +264,6 @@ def run_census(
     entries: list[CatalogEntry],
     jobs: int = 1,
     hints_dir: str | None = None,
-    lattice_limit: int = FULL_LATTICE_LIMIT,
 ) -> CensusResult:
     """Decide every entry (plus hint files, if given) and collect problems.
 
@@ -278,7 +277,7 @@ def run_census(
     result = CensusResult()
     for entry in entries:
         try:
-            row = _decide_entry(entry, lattice_limit)
+            row = _decide_entry(entry)
         except EcovError as exc:
             result.errors.append(f"{entry.display}: {exc}")
             continue

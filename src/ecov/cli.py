@@ -10,7 +10,6 @@ import sys
 from .analysis import structure_report
 from .census import catalog, emit, run_census
 from .covering import (
-    FULL_LATTICE_LIMIT,
     INFINITY,
     Certificate,
     decide,
@@ -33,6 +32,8 @@ from .groups import _read_user_file, build_group
 from .lattice import get_lattice, lattice_to_json, maximal_subgroups, normal_subgroups
 
 __all__ = ["main"]
+
+FULL_LATTICE_LIMIT = 1500  # describe summarises the lattice only up to this order
 
 
 def _yn(flag: bool) -> str:
@@ -82,8 +83,8 @@ def _cmd_describe(args) -> int:
     G = build_group(args.spec)
     lines = []
     rep = structure_report(G)
-    if G.order <= args.lattice_limit:
-        L = get_lattice(G, args.lattice_limit)
+    if G.order <= FULL_LATTICE_LIMIT:
+        L = get_lattice(G)
         lattice_line = (
             f"subgroups: {len(L.subgroups)} in {len(L.classes)} conjugacy classes; "
             f"{len(maximal_subgroups(L))} maximal; {len(normal_subgroups(L))} normal"
@@ -92,11 +93,11 @@ def _cmd_describe(args) -> int:
             _write_json(args.emit_lattice, "lattice", lattice_to_json(L))
             lattice_line += f"\nlattice written to {args.emit_lattice}"
     else:
-        lattice_line = f"subgroups: not enumerated (order above lattice limit {args.lattice_limit})"
+        lattice_line = f"subgroups: not enumerated (order above lattice limit {FULL_LATTICE_LIMIT})"
         if args.emit_lattice:
             raise ResourceLimitExceeded(
                 f"cannot export the lattice of {G.meta.name}: order {G.order} "
-                f"is above the lattice limit {args.lattice_limit}"
+                f"is above the lattice limit {FULL_LATTICE_LIMIT}"
             )
     pg = f"yes (p = {rep.p})" if rep.is_p_group else "no"
     lines.append(f"{G.meta.name}: order {rep.order}, exponent {rep.exponent}")
@@ -121,7 +122,7 @@ def _cmd_describe(args) -> int:
 def _cmd_check(args) -> int:
     G = build_group(args.spec)
     mode = "rules" if args.rules_only else "exhaustive" if args.exhaustive_only else "auto"
-    decision = decide(G, mode, lattice_limit=args.lattice_limit)
+    decision = decide(G, mode)
     if decision.status == "Yes":
         cert = decision.certificate
         line = (
@@ -146,12 +147,12 @@ def _invariant_command(args) -> int:
     G = build_group(args.spec)
     name = args.invariant
     if name == "sigma":
-        result = sigma(G, lattice_limit=args.lattice_limit)
+        result = sigma(G)
         value, witness = result.value, result.witness
     elif name == "epsilon":
-        value, witness = epsilon(G, lattice_limit=args.lattice_limit)
+        value, witness = epsilon(G)
     else:
-        value, witness = rho(G, lattice_limit=args.lattice_limit)
+        value, witness = rho(G)
     lines = [f"{name}({G.meta.name}) = {_fmt_value(value)}"]
     if witness is not None:
         lines.append(f"witness: {_member_summary(witness)}")
@@ -192,12 +193,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     entries = catalog(args.max_order)
-    result = run_census(
-        entries,
-        jobs=args.jobs,
-        hints_dir=args.hints,
-        lattice_limit=args.lattice_limit,
-    )
+    result = run_census(entries, jobs=args.jobs, hints_dir=args.hints)
     _deliver(emit(result.rows, args.format, timing=args.timing), args.out)
     for line in result.mismatches:
         print(f"mismatch: {line}", file=sys.stderr)
@@ -230,8 +226,6 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
     parser.add_argument("--jobs", type=int, default=d(1), metavar="N",
                         help="accepted for interface compatibility; batch runs are serial")
-    parser.add_argument("--lattice-limit", type=int, default=d(FULL_LATTICE_LIMIT), metavar="N",
-                        help="largest group order whose full subgroup lattice may be enumerated")
     parser.add_argument("--seed", type=int, default=d(0), metavar="N",
                         help="accepted for interface compatibility; every algorithm is deterministic")
     parser.add_argument("--out", default=d(None), metavar="PATH",

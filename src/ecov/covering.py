@@ -56,7 +56,6 @@ from .errors import (
 )
 from .groups import GroupTable, _read_user_file, exponent, quotient
 from .lattice import (
-    FULL_LATTICE_LIMIT,
     Subgroup,
     SubgroupLattice,
     _mask,
@@ -303,7 +302,7 @@ def _witness(G: GroupTable, mode: str, method: str, subgroups) -> Certificate:
     return cert
 
 
-def equal_covering_exhaustive(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> Decision:
+def equal_covering_exhaustive(G: GroupTable) -> Decision:
     """Divisor-by-divisor union test over the full lattice.
 
     For each proper divisor d of |G| that the exponent divides, the union
@@ -312,7 +311,7 @@ def equal_covering_exhaustive(G: GroupTable, lattice_limit: int = FULL_LATTICE_L
     lattice is built only once some divisor qualifies.
     """
     for d in qualifying_divisors(G.order, exponent(G)):
-        fams = _covering_family(get_lattice(G, lattice_limit), d)
+        fams = _covering_family(get_lattice(G), d)
         if fams is not None:
             return _decision("Yes", "Exhaustive", _witness(G, "EqualCovering", "Exhaustive", fams))
     return _decision("No", "Exhaustive")
@@ -331,7 +330,7 @@ _NO = ("No", None)
 _STOP = object()  # a rule's answer that no later rule can apply
 
 
-def _pull_back(lattice_limit: int, depth: int, memo: dict, images) -> tuple[str, Certificate] | None:
+def _pull_back(depth: int, memo: dict, images) -> tuple[str, Certificate] | None:
     """Yes from the first image group that has an equal covering.
 
     images yields (Q, proj) pairs, proj[x] being the image in Q of x; the
@@ -345,7 +344,7 @@ def _pull_back(lattice_limit: int, depth: int, memo: dict, images) -> tuple[str,
         key = (Q.order, Q.table.tobytes())
         sub = memo.get(key)
         if sub is None:
-            sub = memo[key] = decide(Q, "auto", lattice_limit, depth + 1, memo)
+            sub = memo[key] = decide(Q, "auto", depth + 1, memo)
         if sub.status == "Yes":
             return "Yes", _preimage(sub.certificate, proj)
     return None
@@ -382,19 +381,16 @@ def _least_noncyclic_prime(G: GroupTable) -> tuple[int, np.ndarray]:
     raise AssertionError("a non-cyclic nilpotent group has a Sylow subgroup that is not cyclic")  # pragma: no cover
 
 
-def _p_group(G: GroupTable, pull_back):
-    p = p_group_prime(G)
-    if p is None:
-        return None
-    return "Yes", Certificate("EqualCovering", tuple(index_p_subgroups(G, p)))
-
-
 def _nilpotent(G: GroupTable, pull_back):
-    """Every index_p_subgroups(G, p) member, for p from _least_noncyclic_prime."""
+    """Every index_p_subgroups(G, p) member, for the least prime p with more
+    than one (the prime of _least_noncyclic_prime).  T17 and T19 share it: a
+    p-group is nilpotent, and its only prime is p."""
     if not is_nilpotent(G):
         return None
-    p, X = _least_noncyclic_prime(G)
-    return "Yes", Certificate("EqualCovering", tuple(_hyperplanes(X, p, X.shape[1])))
+    for p in factorize(G.order):
+        members = index_p_subgroups(G, p)
+        if len(members) > 1:
+            return "Yes", Certificate("EqualCovering", tuple(members))
 
 
 def _direct_factor(G: GroupTable, pull_back):
@@ -439,7 +435,7 @@ _LADDER = (
     ("RuleT20_SquareFree", lambda G, pull_back: _NO if is_square_free_distinct_primes(G.order) else None),
     ("RuleC1_Exponent", lambda G, pull_back: None if qualifying_divisors(G.order, exponent(G)) else _NO),
     ("RuleT16_Dihedral", _dihedral),
-    ("RuleT17_PGroup", _p_group),
+    ("RuleT17_PGroup", lambda G, pull_back: None if p_group_prime(G) is None else _nilpotent(G, pull_back)),
     ("RuleT19_Nilpotent", _nilpotent),
     ("RuleT18_DirectFactor", _direct_factor),
     ("RuleC3_Semidirect", _semidirect),
@@ -451,7 +447,6 @@ _LADDER = (
 def decide(
     G: GroupTable,
     mode: str = "auto",
-    lattice_limit: int = FULL_LATTICE_LIMIT,
     _depth: int = 0,
     _memo: dict | None = None,
 ) -> Decision:
@@ -465,8 +460,8 @@ def decide(
     if mode not in ("auto", "rules", "exhaustive"):
         raise SpecError(f"unknown decide mode {mode!r}")
     if mode == "exhaustive":
-        return equal_covering_exhaustive(G, lattice_limit=lattice_limit)
-    pull_back = partial(_pull_back, lattice_limit, _depth, {} if _memo is None else _memo)
+        return equal_covering_exhaustive(G)
+    pull_back = partial(_pull_back, _depth, {} if _memo is None else _memo)
     for tag, rule in _LADDER:
         found = rule(G, pull_back)
         if found is _STOP:
@@ -480,7 +475,7 @@ def decide(
         raise RulesInconclusive(
             f"no structural rule settles {G.meta.name}; exhaustive search disabled"
         )
-    return equal_covering_exhaustive(G, lattice_limit=lattice_limit)
+    return equal_covering_exhaustive(G)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +655,7 @@ def _nilpotent_pencil(G: GroupTable) -> tuple[int, list[Subgroup]] | None:
     return p, [Subgroup.from_members(m) for m in _hyperplanes(X, p, 2)]
 
 
-def sigma(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> SigmaResult:
+def sigma(G: GroupTable) -> SigmaResult:
     """Minimum number of proper subgroups covering G; Infinity iff cyclic.
 
     A nilpotent group is answered by _nilpotent_pencil with no lattice.
@@ -679,7 +674,7 @@ def sigma(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> SigmaResult
             (p + 1, f"the {p + 1} index-{p} subgroups containing the meet of two of them"),
         )
         return SigmaResult(p + 1, _witness(G, "Covering", "sigma", members), log)
-    L = get_lattice(G, lattice_limit)
+    L = get_lattice(G)
     n = G.order
     p = smallest_prime_divisor(n)
     lower = max(3, p + 1)
@@ -696,9 +691,7 @@ def sigma(G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT) -> SigmaResult
     return SigmaResult(value, witness, tuple(log))
 
 
-def epsilon(
-    G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT
-) -> tuple[int | float, Certificate | None]:
+def epsilon(G: GroupTable) -> tuple[int | float, Certificate | None]:
     """Minimum size of an equal covering; Infinity when none exists.
 
     Orders d are scanned from the largest down.  An order-d subgroup covers
@@ -722,7 +715,7 @@ def epsilon(
     for d in reversed(qualifying_divisors(n, exponent(G))):
         if -(-(n - 1) // (d - 1)) >= best:
             break  # the bound only grows as d falls
-        fams = _covering_family(get_lattice(G, lattice_limit), d)
+        fams = _covering_family(get_lattice(G), d)
         if fams is None:
             continue
         found = _min_cover(fams, n, stop_at, budget, best)
@@ -762,9 +755,7 @@ def _desarguesian_spread(G: GroupTable, p: int) -> list[Subgroup] | None:
     return [Subgroup.from_members([0, *np.flatnonzero(line == b).tolist()]) for b in range(F.q + 1)]
 
 
-def rho(
-    G: GroupTable, lattice_limit: int = FULL_LATTICE_LIMIT
-) -> tuple[int | float, Certificate | None]:
+def rho(G: GroupTable) -> tuple[int | float, Certificate | None]:
     """Minimum partition size (pairwise-trivial intersections); Infinity if none.
 
     Abelian and nilpotent groups are answered from theory first, at any
@@ -773,8 +764,8 @@ def rho(
     (Kontorovich, 1939); an elementary abelian group gets the spread of
     _desarguesian_spread.  Otherwise a partition tiles the non-identity
     elements exactly, so this is an exact-cover search over all proper
-    nontrivial subgroups, under the lattice limit and the work budget
-    that sigma and epsilon have, stopped at a proven lower bound.  Two blocks H, K
+    nontrivial subgroups, under the lattice and search budgets that sigma
+    and epsilon have, stopped at a proven lower bound.  Two blocks H, K
     meet trivially, so |H||K| <= |G|.  With m the order of a largest block,
     each other block covers at most min(m, |G|/m) - 1 of the |G| - m
     elements outside it, so
@@ -793,7 +784,7 @@ def rho(
         if spread is not None:
             return len(spread), _witness(G, "Partition", "rho", spread)
     n = G.order
-    L = get_lattice(G, lattice_limit)
+    L = get_lattice(G)
     blocks = [s for s in L.subgroups if 1 < s.order < n]
     lower = min((1 + -(-(n - m) // (min(m, n // m) - 1)) for m in {s.order for s in blocks}), default=0)
     found = _min_cover(blocks, n, lower, _Budget(_SEARCH_BUDGET), disjoint=True)

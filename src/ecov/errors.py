@@ -93,7 +93,7 @@ class OrderLimitExceeded(ResourceLimitExceeded):
 
 
 class LatticeLimitExceeded(ResourceLimitExceeded):
-    """Full subgroup enumeration refused above the configured order limit."""
+    """Subgroup enumeration spent its work budget (lattice._LATTICE_BUDGET)."""
 
 
 class SearchBudgetExceeded(ResourceLimitExceeded):

@@ -14,9 +14,12 @@ Every closure goes through one kernel, ``groups._close``: a seed closed
 under index maps, which are the conjugation maps or rows of the table,
 left multiplications read in place as memoryviews, so no closure copies
 the table.  A normal closure takes its seed elements' rows.
-Normal subgroups can also be found without the full lattice, as joins of
-the normal closures of element classes, so decision rules can run on
-groups too large to enumerate fully.
+The enumeration charges its work against one budget, _LATTICE_BUDGET, and
+raises LatticeLimitExceeded once it is spent, so the cost of a lattice,
+not the group's order, decides whether it is built.  Normal subgroups can
+also be found without the full lattice, as joins of the normal closures of
+element classes, so decision rules can run on groups whose lattice is
+beyond the budget.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from .errors import LatticeLimitExceeded
 from .groups import GroupTable, _close
 
 __all__ = [
-    "FULL_LATTICE_LIMIT",
     "Subgroup",
     "SubgroupLattice",
     "enumerate_subgroups",
@@ -41,7 +43,7 @@ __all__ = [
     "lattice_to_json",
 ]
 
-FULL_LATTICE_LIMIT = 1500
+_LATTICE_BUDGET = 60_000_000
 
 
 def _mask(members) -> int:
@@ -146,7 +148,7 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
-def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> SubgroupLattice:
+def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     """All subgroups of G by cyclic extension of one representative per class.
 
     Every subgroup K is <H, g> for a proper subgroup H.  If H = R^x for the
@@ -164,12 +166,15 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     some h*g, so it lies in K and its extension lies in K.  Maximality is
     kept under conjugation, so the representative's flag holds for its
     class.
+
+    Work is counted, not timed, so the machine changes no answer.  A unit
+    is one element the coset scan tests or marks (n - 1, plus |H| per coset
+    minimum), one table entry that the normaliser pruning reads (one per
+    conjugate it forms) or a closure reads (its size, or n // 2 + 1 when it
+    passes half of G, times its generators), or one member of a new class.
+    Past _LATTICE_BUDGET units the enumeration raises LatticeLimitExceeded.
     """
     n = G.order
-    if n > limit:
-        raise LatticeLimitExceeded(
-            f"group order {n} exceeds the lattice limit {limit}; raise --lattice-limit to force"
-        )
     R = [memoryview(row) for row in G.table]  # R[a][b] is a*b, read from the table in place
     identity = list(range(n))
     inv = G.inverse
@@ -177,8 +182,10 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
     seen: dict[int, Subgroup] = {}
     orbits: list[list[Subgroup]] = []
     maximal: set[int] = set()
+    spent = 0
 
     def add_class(K: Subgroup) -> list[Subgroup]:
+        nonlocal spent
         seen[K.mask] = K
         orbit = [K]
         for S in orbit:
@@ -193,6 +200,7 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
                     seen[mask] = C
                     orbit.append(C)
         orbits.append(orbit)
+        spent += K.order * len(orbit)
         return orbit
 
     worklist = [add_class(Subgroup.from_members((0,), ()))]
@@ -207,6 +215,7 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
             minima.append(g)
             for h in H.members:
                 covered |= 1 << R[h][g]
+        spent += n - 1 + H.order * len(minima)
         if maps and len(minima) > 1:  # a lone minimum is its own orbit
             index = n // (H.order * len(orbit))  # |N_G(H) : H|
             known = index in (1, len(minima) + 1)  # N_G(H) is H or G; else Hg lies in it when g^-1 H g = H
@@ -219,26 +228,32 @@ def enumerate_subgroups(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> Subgr
                     kept.append(g)
                     reached.update([label[R[rx[g]][x]] for rx, x in conj])  # cosets of x^-1 g x
             minima = kept
+            spent += len(conj) * len(kept)
         any_proper = False
         for g in minima:
             gens = H.generators + (g,)
             members = _close([R[x] for x in gens], H.members + (g,), n // 2)
+            spent += (n // 2 + 1 if members is None else len(members)) * len(gens)
             any_proper = any_proper or members is not None
             K = _subgroup(G, members, gens)
             if K.mask not in seen:
                 added = add_class(K)
                 if K.order < n:
                     worklist.append(added)
+            if spent > _LATTICE_BUDGET:
+                raise LatticeLimitExceeded(
+                    f"subgroup enumeration exceeded {_LATTICE_BUDGET} work units; the instance is beyond desk scale"
+                )
         if H.order < n and not any_proper:
             maximal.update(S.mask for S in orbit)
     subs = tuple(sorted(seen.values(), key=lambda s: (s.order, s.members)))
     return SubgroupLattice(n, subs, orbits, tuple(s.mask in maximal for s in subs))
 
 
-def get_lattice(G: GroupTable, limit: int = FULL_LATTICE_LIMIT) -> SubgroupLattice:
+def get_lattice(G: GroupTable) -> SubgroupLattice:
     """Full lattice of G, cached on G so that it is freed with G."""
     if G._lattice is None:
-        G._lattice = enumerate_subgroups(G, limit)
+        G._lattice = enumerate_subgroups(G)
     return G._lattice
 
 

@@ -110,13 +110,16 @@ for entry in catalog(120):
         for N in normal_subgroups_direct(G):
             print(entry.display, list(N.members), sep="\t")
 """,
+    # A tree whose get_lattice takes an order limit is passed one above M11's order.
     "big-lattices": r"""
 import hashlib
+import inspect
 import json
 from ecov.groups import build_group
 from ecov.lattice import get_lattice, lattice_to_json
+limit = (10_000,) if len(inspect.signature(get_lattice).parameters) > 1 else ()
 for spec in ("PSL(2,7)", "PSL(2,8)", "A6", "PSL(2,9)", "PSL(2,11)", "PSL(2,13)", "S6", "A7", "PSL(2,16)", "S7", "PSL(2,25)", "M11"):
-    doc = json.dumps(lattice_to_json(get_lattice(build_group(spec), 10_000)))
+    doc = json.dumps(lattice_to_json(get_lattice(build_group(spec), *limit)))
     print(spec, hashlib.sha256(doc.encode()).hexdigest(), sep="\t")
 """,
     # One process runs every command, so state one call leaves behind shows in the next.

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from ecov import cli, lattice
-from ecov.groups import build_group
+from ecov.covering import qualifying_divisors
+from ecov.groups import build_group, exponent
 from ecov.lattice import get_lattice
 
 HINTS_DIR = "src/ecov/data/hints"
@@ -454,12 +455,50 @@ def test_huge_parameters_exit_2_or_3(capsys, args, code, message):
 
 
 def test_lattice_limit_exit_3_and_flag_positions():
+    """M11's lattice is within the work budget, and --lattice-limit is a
+    usage error before or after the subcommand."""
     proc = run("check", "M11")
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("resource limit:")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("No — Exhaustive (")
     before = run("--lattice-limit", "10", "check", "A4")
     after = run("check", "A4", "--lattice-limit", "10")
-    assert before.returncode == after.returncode == 3
+    assert before.returncode == after.returncode == 2
+    assert "unrecognized arguments: --lattice-limit 10" in after.stderr
+
+
+@pytest.mark.parametrize("spec,least_index", [("A7", 7), ("M11", 11), ("PSL(2,27)", 28)])
+def test_check_answers_no_when_every_qualifying_index_is_below_the_least_index(capsys, spec, least_index):
+    """A member of order d of an equal covering has index |G|/d, and d is
+    a proper divisor that the exponent divides.  Every such index is below
+    the least index of a proper subgroup: 7 in A7, 11 in M11, and q + 1 = 28
+    in PSL(2,27) (Galois: q + 1 for q > 11).  So no subgroup has a
+    qualifying order, and no equal covering exists."""
+    G = build_group(spec)
+    assert all(G.order // d < least_index for d in qualifying_divisors(G.order, exponent(G)))
+    assert cli.main(["check", spec]) == 0
+    assert capsys.readouterr().out.startswith("No — Exhaustive (")
+
+
+@pytest.mark.parametrize("spec", ["S7", "C2xA7"])
+def test_check_answers_no_on_groups_of_degree_7(capsys, spec):
+    """S7 and C2xA7 have order 5040 and exponent 420, so a qualifying order
+    d is a multiple of 420, hence of 7.
+
+    A subgroup H of S7 with 7 dividing |H| holds a 7-cycle, so H is
+    transitive of prime degree 7, hence primitive.  By Burnside, H is then
+    in AGL(1,7) or 2-transitive, so |H| is one of 7, 14, 21, 42, 168, 2520,
+    5040 (C7, D7, 7:3, 7:6, PSL(3,2), A7, S7).  The only proper one that 420
+    divides is A7, which alone does not cover S7.
+
+    In C2xA7, H projects onto a subgroup P of A7 with |H| = |P| or 2|P|, and
+    7 divides |P|, so |P| is one of the orders above.  The only proper |H|
+    that 420 divides is 2520 with P = A7, and then H meets C2 trivially, so
+    H is the graph of a map A7 -> C2, trivial as A7 is simple: H = A7, which
+    alone does not cover.  So neither group has an equal covering."""
+    G = build_group(spec)
+    assert qualifying_divisors(G.order, exponent(G)) == [420, 840, 1260, 1680, 2520]
+    assert cli.main(["check", spec]) == 0
+    assert capsys.readouterr().out.startswith("No — Exhaustive (")
 
 
 def test_invariants_build_no_lattice_they_do_not_need(monkeypatch, capsys):
@@ -556,10 +595,10 @@ def _leak_prone_argvs(out, witness, cert):
     return [
         ["--out", out, "describe", "D8"],
         ["describe", "D8"],
-        ["describe", "S4", "--lattice-limit", "10"],
+        ["describe", "S4", "--seed", "10"],
         ["describe", "S4"],
         ["describe", "C12", "--out", out],
-        ["--lattice-limit", "5", "sigma", "S3"],
+        ["--jobs", "5", "sigma", "S3"],
         ["sigma", "S3", "--witness", witness],
         ["sigma", "S3"],
         ["epsilon", "D8"],
