@@ -54,7 +54,7 @@ from .errors import (
     SearchBudgetExceeded,
     SpecError,
 )
-from .groups import GroupTable, _read_user_file, exponent, quotient
+from .groups import GroupTable, _gather_blocks, _read_user_file, exponent, quotient
 from .lattice import (
     Subgroup,
     SubgroupLattice,
@@ -199,7 +199,7 @@ def _is_subgroup(G: GroupTable, members: tuple[int, ...]) -> bool:
     m = np.asarray(members, dtype=np.intp)
     inside = np.zeros(G.order, dtype=bool)
     inside[m] = True
-    return bool(inside[G.table[np.ix_(m, m)]].all())
+    return all(inside[block].all() for _, block in _gather_blocks(G.table, m, m))
 
 
 def verify_certificate(G: GroupTable, cert: Certificate) -> CertificateReport:

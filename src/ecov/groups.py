@@ -57,7 +57,8 @@ MAX_ORDER = 10000
 
 # Light's test compares (xg)y with x(gy) over all x, y for one generator g
 # at a time, in blocks of rows holding about this many cells, so the
-# temporaries stay near 1M cells whatever the order.
+# temporaries stay near 1M cells whatever the order.  Sub-table gathers
+# (``_gather_blocks``) use the same bound.
 _LIGHT_BLOCK_CELLS = 1_000_000
 
 
@@ -374,6 +375,18 @@ def _light_witness(T: np.ndarray, gens: tuple[int, ...]) -> tuple[int, int, int]
     return None
 
 
+def _gather_blocks(T: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Yield (start, T[rows[start:stop]][:, cols]) over blocks of rows.
+
+    Each block of whole table rows holds at most ``_LIGHT_BLOCK_CELLS``
+    cells (one row at least).  A row gather then a column gather is several
+    times faster than one ``np.ix_`` gather of the same sub-table.
+    """
+    block = max(1, _LIGHT_BLOCK_CELLS // int(T.shape[1]))
+    for start in range(0, len(rows), block):
+        yield start, T[rows[start:start + block]][:, cols]
+
+
 def _right_inverses(T: np.ndarray) -> np.ndarray:
     """For each row x, the first y with T[x, y] == 0 (0 when the row has none).
 
@@ -500,13 +513,16 @@ def _elementary_order(p: int, k: int) -> int:
 
 
 def _build_elementary(p: int, k: int) -> GroupTable:
+    # Element v has base-p digits v_i of weight p^i.  Each pass puts one more
+    # digit on top, of weight m: (a m + b)(c m + d) = ((a + c) mod p) m + b*d,
+    # where b*d is read from the table of the lower digits, so a pass is one
+    # broadcast of C_p's table against that table.
     n = p**k
-    weights = p ** np.arange(k, dtype=np.int64)
-    digits = (np.arange(n)[:, None] // weights[None, :]) % p
-    dtype = _index_dtype(n)
-    table = np.empty((n, n), dtype=dtype)
-    for v in range(n):
-        table[v] = (((digits[v][None, :] + digits) % p) * weights[None, :]).sum(axis=1)
+    cyclic = _cyclic_table(p).astype(_index_dtype(n))
+    table = np.zeros((1, 1), dtype=cyclic.dtype)
+    for i in range(k):
+        m = p**i
+        table = (cyclic[:, None, :, None] * m + table[None, :, None, :]).reshape(p * m, p * m)
     meta = ConstructionMeta("elementary", f"E({p},{k})", (p, k))
     gens = tuple(int(p**i) for i in range(k))
     return GroupTable(table, meta, gens)
@@ -760,10 +776,11 @@ def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
     m = np.asarray(mem, dtype=np.intp)
     inside = np.zeros(G.order, dtype=bool)
     inside[m] = True
-    escapes = ~inside[T[np.ix_(m, m)]]
-    if escapes.any():
-        i, j = np.argwhere(escapes)[0]
-        raise NotNormal(f"member set is not closed: {mem[i]}*{mem[j]} escapes")
+    for start, block in _gather_blocks(T, m, m):
+        escapes = ~inside[block]
+        if escapes.any():
+            i, j = np.argwhere(escapes)[0]
+            raise NotNormal(f"member set is not closed: {mem[start + i]}*{mem[j]} escapes")
     for g in G.generators:
         moved = ~inside[T[T[g, m], G.inverse[g]]]
         if moved.any():
@@ -771,7 +788,7 @@ def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
     # Column g of T[m] is the coset Ng; numbering the cosets by their least
     # members makes the image of the identity coset 0.
     reps, proj = np.unique(T[m].min(axis=0), return_inverse=True)
-    qtable = proj[T[np.ix_(reps, reps)]]
+    qtable = np.concatenate([proj[block] for _, block in _gather_blocks(T, reps, reps)])
     proj = tuple(proj.tolist())
     gens = tuple(sorted({proj[g] for g in G.generators} - {0}))
     meta = ConstructionMeta("quotient", f"{G.meta.name}/N{len(mem)}", (len(mem),))

@@ -19,16 +19,19 @@ raises LatticeLimitExceeded once it is spent, so the cost of a lattice,
 not the group's order, decides whether it is built.  Normal subgroups can
 also be found without the full lattice, as joins of the normal closures of
 element classes, so decision rules can run on groups whose lattice is
-beyond the budget.
+beyond the budget.  That scan takes one normal closure per class of cyclic
+subgroups, and gathers a join from the table only when its result is not
+already known.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import LatticeLimitExceeded
-from .groups import GroupTable, _close
+from .groups import GroupTable, _close, _gather_blocks
 
 __all__ = [
     "Subgroup",
@@ -305,35 +308,61 @@ def normal_subgroups_direct(G: GroupTable) -> list[Subgroup]:
     A normal subgroup is the join of the normal closures <x^G> of the
     element classes it meets, and the join of normal N and M is N*M.  So
     the trivial subgroup, closed under products with each distinct class
-    closure, gives every normal subgroup.  N*C is the union of the cosets
-    Nc for c in C, one gather of the table each.  A join records the
-    sorted class representatives it was built from as its generators.
+    closure, gives every normal subgroup.  A join records the sorted class
+    representatives it was built from as its generators.
+
+    For k prime to |x|, <x^k> = <x>, so x^k has the normal closure of x:
+    one closure is taken per class of cyclic subgroups, from the class
+    representative met first, and the classes of its x^k are skipped.  A product N*C is skipped when its result is already known:
+    C lies in N (N*C = N); N lies in C with N not trivial (N*C = C, found
+    from the trivial subgroup, which is processed first); or G has been
+    found and |N||C|/|N & C| = |G|.  Every other product is gathered from
+    the table, N's rows at C's columns, in row blocks, and becomes a
+    Subgroup only when its mask is new.
     """
     n = G.order
     T = G.table
+    classes = element_conjugacy_classes(G)
+    class_of = np.empty(n, dtype=np.intp)
+    for i, cls in enumerate(classes):
+        class_of[list(cls)] = i
+    done = np.zeros(len(classes), dtype=bool)
     closures = {}
-    for cls in element_conjugacy_classes(G)[1:]:
-        C = normal_closure(G, (cls[0],))
+    for i, cls in enumerate(classes[1:], 1):
+        if done[i]:
+            continue
+        x = cls[0]
+        C = normal_closure(G, (x,))
         closures.setdefault(C.mask, C)
+        powers = [x]  # x^1, x^2, ..., x^|x| = 1
+        while powers[-1]:
+            powers.append(int(T[x, powers[-1]]))
+        order = len(powers)
+        done[class_of[[y for k, y in enumerate(powers, 1) if math.gcd(k, order) == 1]]] = True
+    full = (1 << n) - 1
     trivial = Subgroup.from_members((0,), ())
     seen: dict[int, Subgroup] = {trivial.mask: trivial}
     worklist = [trivial]
+    columns = [(C, np.array(C.members)) for C in closures.values()]
     while worklist:
         N = worklist.pop()
         rows = np.array(N.members)
-        for C in closures.values():
-            if N.contains(C):
+        for C, cols in columns:
+            if N.contains(C) or (N.order > 1 and C.contains(N)):
+                continue
+            if full in seen and N.order * C.order == n * (N.mask & C.mask).bit_count():
                 continue
             inside = np.zeros(n, dtype=bool)
-            inside[rows] = True
-            for c in C.members:
-                if not inside[c]:
-                    inside[T[rows, c]] = True
-            members = np.flatnonzero(inside).tolist()
-            gens = tuple(sorted(set(N.generators) | set(C.generators)))
-            K = _subgroup(G, None if len(members) == n else members, gens)
-            if K.mask not in seen:
-                seen[K.mask] = K
+            for _, block in _gather_blocks(T, rows, cols):
+                inside[block] = True
+            mask = int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
+            if mask not in seen:
+                gens = tuple(sorted(set(N.generators) | set(C.generators)))
+                if mask == full:
+                    K = _subgroup(G, None, gens)
+                else:
+                    K = Subgroup(mask, tuple(np.flatnonzero(inside).tolist()), gens)
+                seen[mask] = K
                 worklist.append(K)
     return sorted(seen.values(), key=lambda s: (s.order, s.members))
 

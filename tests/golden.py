@@ -36,6 +36,7 @@ import hashlib
 from ecov.groups import build_group
 specs = [f"S{n}" for n in range(3, 8)] + [f"A{n}" for n in range(4, 8)]
 specs += [f"PSL(2,{q})" for q in (4, 5, 7, 8, 9, 11, 13, 16, 25)] + ["M11", "S4xC2", "A5xC3"]
+specs += ["E(2,12)", "E(3,7)", "E(5,5)"]
 for spec in specs:
     G = build_group(spec)
     table = hashlib.sha256(G.table.tobytes()).hexdigest()
@@ -102,13 +103,14 @@ from ecov.analysis import is_abelian
 from ecov.census import catalog
 from ecov.groups import build_group
 from ecov.lattice import get_lattice, lattice_to_json, normal_subgroups_direct
-for entry in catalog(120):
+for entry in catalog(240):
     G = build_group(entry.spec)
-    doc = json.dumps(lattice_to_json(get_lattice(G)))
-    print(entry.display, hashlib.sha256(doc.encode()).hexdigest(), sep="\t")
+    if entry.order <= 120:
+        doc = json.dumps(lattice_to_json(get_lattice(G)))
+        print(entry.display, hashlib.sha256(doc.encode()).hexdigest(), sep="\t")
     if not is_abelian(G):
         for N in normal_subgroups_direct(G):
-            print(entry.display, list(N.members), sep="\t")
+            print(entry.display, list(N.generators), list(N.members), sep="\t")
 """,
     # A tree whose get_lattice takes an order limit is passed one above M11's order.
     "big-lattices": r"""

@@ -942,6 +942,41 @@ def test_quotient_numbers_cosets_by_least_member_on_catalog():
             assert np.array_equal(Q.table[np.ix_(p, p)], p[G.table]), (entry.display, N.order)
 
 
+def test_block_gathers_match_a_single_block(monkeypatch):
+    # With one row a block, quotient, _is_subgroup and the normal scan must
+    # give what one block gives, and quotient must name the same escape.
+    specs = ["S4", "D12", "Dic6", "A5", "C2xS3xC2"]
+    cases = []
+    for spec in specs:
+        G = build_group(spec)
+        normals = normal_subgroups_direct(G)
+        members = [N.members for N in normals]
+        cases.append((G, members, [quotient(G, m) for m in members]))
+    for G, members, _ in cases:
+        assert all(covering._is_subgroup(G, m) for m in members)
+    bad = build_group("D12")
+    monkeypatch.setattr(groups, "_LIGHT_BLOCK_CELLS", 1)
+    for G, members, quotients in cases:
+        assert [N.members for N in normal_subgroups_direct(G)] == members, G.meta.name
+        for m, (Q, proj) in zip(members, quotients):
+            Q1, proj1 = quotient(G, m)
+            assert np.array_equal(Q1.table, Q.table) and proj1 == proj and Q1.generators == Q.generators
+            assert covering._is_subgroup(G, m)
+        assert not covering._is_subgroup(G, (0, 1, 2))
+    # 0, 2 and 4 close; the first escape is 2 * 5, in the second row and block.
+    with pytest.raises(NotNormal, match=r"^member set is not closed: 2\*5 escapes$"):
+        quotient(bad, (0, 2, 4, 5))
+
+
+def test_elementary_tables_add_digits_mod_p():
+    # The digits of an element of E(p,k) are its base-p digits, least first.
+    for p, k in ((2, 1), (2, 5), (3, 4), (5, 3), (7, 2), (11, 1)):
+        n = p**k
+        digits = (np.arange(n)[:, None] // p ** np.arange(k)) % p
+        sums = (digits[:, None, :] + digits[None, :, :]) % p
+        assert np.array_equal(build_group(f"E({p},{k})").table, (sums * p ** np.arange(k)).sum(axis=2)), (p, k)
+
+
 def test_stored_generators_generate_the_table(grp, tmp_path):
     # The center and the conjugation maps are computed from the stored
     # generators alone, so every builder must store a generating set, with

@@ -286,10 +286,13 @@ def nonabelian_specs(max_order: int) -> list[str]:
 
 
 SCAN_SPECS = ["S4", "D12", "A4", "Q8", "C6xC2", "W"]
+DICYCLIC_SPECS = [e.spec.text() for e in catalog(240) if e.spec.family == "dicyclic"]
 
 
 @pytest.mark.parametrize(
-    "spec", SCAN_SPECS + [s for s in nonabelian_specs(60) if s not in SCAN_SPECS]
+    "spec",
+    SCAN_SPECS
+    + [s for s in nonabelian_specs(60) + DICYCLIC_SPECS + ["S5", "S6"] if s not in SCAN_SPECS]
 )
 def test_direct_normal_scan_agrees_with_lattice(grp, spec):
     G = grp(spec)
@@ -354,9 +357,36 @@ def test_dihedral_normal_subgroup_counts_match_theory():
         assert len(normal_subgroups_direct(build_group(entry.spec))) == want, entry.display
 
 
+def test_dicyclic_normal_subgroup_counts_match_theory():
+    """Dic_n = <a, b | a^2n, b^2 = a^n, b^-1 a b = a^-1> has tau(2n) + 1 normal
+    subgroups for odd n and tau(2n) + 3 for even n: every subgroup of <a>,
+    G, and for even n the two halves <a^2, b> and <a^2, ab> of index 2."""
+    assert DICYCLIC_SPECS[-1] == "Dic60"
+    for spec in DICYCLIC_SPECS:
+        G = build_group(spec)
+        n = G.order // 4
+        want = num_divisors(2 * n) + (3 if n % 2 == 0 else 1)
+        assert len(normal_subgroups_direct(G)) == want, spec
+
+
+def test_normal_scan_closes_one_class_of_cyclic_subgroups_once(monkeypatch):
+    """Dic60 has 62 non-identity element classes but 17 classes of
+    non-trivial cyclic subgroups: 15 in <a> of order 120 and two generated
+    by a^i b.  x and x^k with k prime to |x| generate one cyclic subgroup,
+    so they have one normal closure."""
+    calls = []
+    closure = lattice.normal_closure
+    monkeypatch.setattr(lattice, "normal_closure", lambda G, seed: calls.append(seed) or closure(G, seed))
+    G = build_group("Dic60")
+    assert len(element_conjugacy_classes(G)) == 63
+    assert len(normal_subgroups_direct(G)) == 19
+    assert len(calls) == 17
+
+
 def test_normal_scan_builds_no_square_list():
-    """The scan joins class closures one coset gather at a time, and never
-    holds a |N| x |C| block of products."""
+    """The scan gathers each product N*C from N's table rows at C's columns,
+    in row blocks of at most ``groups._LIGHT_BLOCK_CELLS`` cells, so its
+    temporaries stay near that size whatever |N| and |C| are."""
     G = build_group("D600")
     tracemalloc.start()
     try:
