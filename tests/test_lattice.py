@@ -292,7 +292,7 @@ DICYCLIC_SPECS = [e.spec.text() for e in catalog(240) if e.spec.family == "dicyc
 @pytest.mark.parametrize(
     "spec",
     SCAN_SPECS
-    + [s for s in nonabelian_specs(60) + DICYCLIC_SPECS + ["S5", "S6"] if s not in SCAN_SPECS]
+    + [s for s in dict.fromkeys(nonabelian_specs(60) + DICYCLIC_SPECS + ["S5", "S6"]) if s not in SCAN_SPECS]
 )
 def test_direct_normal_scan_agrees_with_lattice(grp, spec):
     G = grp(spec)
