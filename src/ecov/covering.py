@@ -164,16 +164,13 @@ class Certificate:
     def from_json(cls, doc: dict) -> "Certificate":
         if not isinstance(doc, dict) or "mode" not in doc or "members" not in doc:
             raise SpecError("certificate JSON needs 'mode' and 'members'")
-        mode = doc["mode"]
-        if mode not in CERTIFICATE_MODES:
-            raise SpecError(f"unknown certificate mode {mode!r}")
         members = doc["members"]
         if not isinstance(members, list) or not all(_is_int_list(m) for m in members):
             raise SpecError("certificate 'members' must be a list of integer lists")
         s = doc.get("s")
         if s is not None and not _is_int_list(s):
             raise SpecError("certificate 's' must be a list of integers")
-        return cls(mode, tuple(tuple(m) for m in members), tuple(s) if s is not None else None)
+        return cls(doc["mode"], tuple(tuple(m) for m in members), tuple(s) if s is not None else None)
 
 
 @dataclass(frozen=True)

@@ -460,42 +460,65 @@ def _index_dtype(n: int):
 # Family builders
 
 
-def _cyclic_table(n: int) -> np.ndarray:
-    idx = np.arange(n, dtype=_index_dtype(n))
-    return (idx[:, None] + idx[None, :]) % n
+def _cyclic_table(n: int, dtype) -> np.ndarray:
+    """C_n's sum table, (i + j) mod n in ``dtype``, which must hold 2n - 2: each
+    sum is below 2n, so one subtraction of n where it reaches n reduces it."""
+    idx = np.arange(n, dtype=dtype)
+    table = idx[:, None] + idx[None, :]
+    np.subtract(table, n, out=table, where=table >= n)
+    return table
+
+
+def _twisted_cyclic_table(m: int, shift: int, dtype) -> np.ndarray:
+    """The group a^i b^e, indexed i + m*e, with a^m = 1, b^2 = a^shift and b a = a^-1 b.
+
+    a^i b^e times a^j b^f is a^(i + j) b^f for e = 0 and a^(i - j + s) b^(1 - f)
+    for e = 1, with s = 0 for f = 0 and s = shift for f = 1.  The columns of
+    (i - j + s) mod m are C_m's sum table's columns s, s - 1, ..., 0, m - 1,
+    ..., s + 1, so the table is filled from slices of the sum table alone.
+    """
+    add = _cyclic_table(m, dtype)
+    table = np.empty((2, m, 2, m), dtype=dtype)  # a^i b^e times a^j b^f sits at [e, i, f, j]
+    table[0] = add[:, None, :]
+    for f, s in enumerate((0, shift)):
+        table[1, :, f, :s + 1], table[1, :, f, s + 1:] = add[:, s::-1], add[:, :s:-1]
+    table[0, :, 1] += m
+    table[1, :, 0] += m
+    return table.reshape(2 * m, 2 * m)
+
+
+def _block_product(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The table of pairs (x, y), indexed x*m + y with m = len(inner), in one broadcast.
+
+    The pairs multiply as (x1, y1)(x2, y2) = (outer[x1, y1, x2], inner[y1, y2]).
+    ``outer`` is ``TA[:, None, :]`` for a direct product, and ``TH[:, P]``
+    for H : K, which twists x2 by y1's automorphism P[y1].
+    """
+    n = outer.shape[0] * len(inner)
+    dtype = _index_dtype(n)
+    table = outer.astype(dtype, copy=False)[:, :, :, None] * len(inner) + inner[None, :, None, :]
+    return table.reshape(n, n)
 
 
 def _build_cyclic(n: int) -> GroupTable:
     meta = ConstructionMeta("cyclic", f"C{n}", (n,))
     gens = (1,) if n > 1 else ()
-    return GroupTable(_cyclic_table(n), meta, gens)
+    return GroupTable(_cyclic_table(n, _index_dtype(n)), meta, gens)
 
 
 def _build_dihedral(order: int) -> GroupTable:
-    # Elements r^i s^e indexed i + n*e where order = 2n.  Each (e, e') block
-    # of the table is a sum or difference table mod n, reduced before the
-    # flip term is added, so every entry stays below the order.
+    # Rotations r^i and reflections r^i s: a = r, b = s, m = order / 2 and b^2 = 1.
     n = order // 2
-    idx = np.arange(n, dtype=_index_dtype(order))
-    add = (idx[:, None] + idx[None, :]) % n
-    sub = (idx[:, None] - idx[None, :]) % n
-    table = np.block([[add, add + n], [sub + n, sub]])
     meta = ConstructionMeta("dihedral", f"D{order}", (n,))
     gens = (1, n) if n >= 2 else (1,)
-    return GroupTable(table, meta, gens)
+    return GroupTable(_twisted_cyclic_table(n, 0, _index_dtype(order)), meta, gens)
 
 
 def _build_dicyclic(n: int) -> GroupTable:
-    # Presentation a^(2n)=1, b^2=a^n, b^-1 a b = a^-1; elements a^i b^e
-    # indexed i + 2n*e.
-    m = 2 * n
-    idx = np.arange(m, dtype=_index_dtype(4 * n))
-    add = (idx[:, None] + idx[None, :]) % m
-    sub = (idx[:, None] - idx[None, :]) % m
-    table = np.block([[add, add + m], [sub + m, (sub + n) % m]])
+    # Presentation a^(2n)=1, b^2=a^n, b^-1 a b = a^-1.
     name = "Q8" if n == 2 else f"Dic{n}"
     meta = ConstructionMeta("dicyclic", name, (n,))
-    return GroupTable(table, meta, (1, m))
+    return GroupTable(_twisted_cyclic_table(2 * n, n, _index_dtype(4 * n)), meta, (1, 2 * n))
 
 
 def _symmetric_order(n: int, alternating: bool = False) -> int:
@@ -513,16 +536,12 @@ def _elementary_order(p: int, k: int) -> int:
 
 
 def _build_elementary(p: int, k: int) -> GroupTable:
-    # Element v has base-p digits v_i of weight p^i.  Each pass puts one more
-    # digit on top, of weight m: (a m + b)(c m + d) = ((a + c) mod p) m + b*d,
-    # where b*d is read from the table of the lower digits, so a pass is one
-    # broadcast of C_p's table against that table.
-    n = p**k
-    cyclic = _cyclic_table(p).astype(_index_dtype(n))
+    # Element v has base-p digits v_i of weight p^i.  Each of the k passes
+    # puts one more digit on top: C_p times the table of the lower digits.
+    cyclic = _cyclic_table(p, _index_dtype(p))
     table = np.zeros((1, 1), dtype=cyclic.dtype)
-    for i in range(k):
-        m = p**i
-        table = (cyclic[:, None, :, None] * m + table[None, :, None, :]).reshape(p * m, p * m)
+    for _ in range(k):
+        table = _block_product(cyclic[:, None, :], table)
     meta = ConstructionMeta("elementary", f"E({p},{k})", (p, k))
     gens = tuple(int(p**i) for i in range(k))
     return GroupTable(table, meta, gens)
@@ -535,7 +554,9 @@ def _close_and_tabulate(generators: list[list[int]], kind: str, name: str, param
     and sorted.  Elements are image rows numbered breadth-first from the
     identity, each layer in lexicographic order; ``x * g`` applies g first,
     so its images are ``x[g]``.  A closure that passes ``MAX_ORDER``
-    elements raises ``OrderLimitExceeded``.
+    elements raises ``OrderLimitExceeded``, and so, before the closure,
+    does an orbit of more than ``MAX_ORDER`` points, since the order of a
+    permutation group is at least the length of each of its orbits.
     """
     degree = max(len(g) for g in generators)
     identity = np.arange(degree, dtype=np.int64)
@@ -543,9 +564,16 @@ def _close_and_tabulate(generators: list[list[int]], kind: str, name: str, param
     gens = gens[(gens != identity).any(axis=1)]
     meta = ConstructionMeta(kind, name, params)
     if not len(gens):
-        return GroupTable(_cyclic_table(1), meta, ())
+        return GroupTable(np.zeros((1, 1), dtype=np.int16), meta, ())
     gens = gens[np.lexsort(gens.T[::-1])]
     gens = gens[np.r_[True, (gens[1:] != gens[:-1]).any(axis=1)]]
+    maps, placed = gens.tolist(), set()
+    for x in range(degree):
+        if x not in placed:
+            orbit = _close(maps, {x}, MAX_ORDER)
+            if orbit is None:
+                raise OrderLimitExceeded(f"{name}: an orbit has more than {MAX_ORDER} points, so the order exceeds the limit")
+            placed |= orbit
     index_of = {identity.tobytes(): 0}
     layers, parents = [identity[None, :]], [(0, 0)]
     while len(layers[-1]):
@@ -576,28 +604,22 @@ def _close_and_tabulate(generators: list[list[int]], kind: str, name: str, param
 
 
 def _build_symmetric(n: int) -> GroupTable:
-    if n <= 1:
-        return _build_trivial(f"S{n}", "symmetric", (n,))
-    gens = [[1, 0] + list(range(2, n))]
-    if n > 2:
-        gens.append(list(range(1, n)) + [0])
+    # An n-cycle and a transposition; S1's n-cycle is the identity, and S2's two are equal.
+    gens = [list(range(1, n)) + [0]]
+    if n > 1:
+        gens.append([1, 0] + list(range(2, n)))
     return _close_and_tabulate(gens, "symmetric", f"S{n}", (n,))
 
 
 def _build_alternating(n: int) -> GroupTable:
-    if n <= 2:
-        return _build_trivial(f"A{n}", "alternating", (n,))
-    gens = [[1, 2, 0] + list(range(3, n))]
+    # A 3-cycle and an even n- or (n - 1)-cycle; A1 and A2 get the identity.
+    gens = [[1, 2, 0] + list(range(3, n)) if n > 2 else [0]]
     if n > 3:
         if n % 2:
             gens.append(list(range(1, n)) + [0])
         else:
             gens.append([0] + list(range(2, n)) + [1])
     return _close_and_tabulate(gens, "alternating", f"A{n}", (n,))
-
-
-def _build_trivial(name: str, kind: str, params: tuple = ()) -> GroupTable:
-    return GroupTable(_cyclic_table(1), ConstructionMeta(kind, name, params), ())
 
 
 def _psl2_order(q: int) -> int:
@@ -619,11 +641,8 @@ def _build_psl2(q: int) -> GroupTable:
         images.append(infinity if c == 0 else F.div(a, c))
         return images
 
-    gens = []
-    for i in range(F.k):
-        basis = pow(F.p, i)  # the field element t^i
-        gens.append(moebius(1, basis, 0, 1))
-    gens.append(moebius(0, F.neg[1], 1, 0))
+    # x -> x + t^i for each basis element t^i = p^i of the field, and x -> -1/x.
+    gens = [moebius(1, F.p**i, 0, 1) for i in range(F.k)] + [moebius(0, F.neg[1], 1, 0)]
     G = _close_and_tabulate(gens, "psl2", f"PSL(2,{q})", (q,))
     expected = _psl2_order(q)
     if G.order != expected:  # pragma: no cover
@@ -683,20 +702,13 @@ def _build_cayley_file(path: str, spec_text: str) -> GroupTable:
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     """Componentwise product; (a, b) is indexed a*|B| + b."""
-    nA, nB = A.order, B.order
-    n = nA * nB
+    n = A.order * B.order
     if n > MAX_ORDER:
         raise OrderLimitExceeded(f"product order {n} exceeds {MAX_ORDER}")
-    dtype = _index_dtype(n)
-    TA = A.table.astype(dtype)
-    TB = B.table.astype(dtype)
-    table = np.empty((n, n), dtype=dtype)
-    for a1 in range(nA):
-        block = TA[a1][None, :, None] * nB + TB[:, None, :]
-        table[a1 * nB:(a1 + 1) * nB, :] = block.reshape(nB, n)
+    table = _block_product(A.table[:, None, :], B.table)
     name = f"{A.meta.name}x{B.meta.name}"
     meta = ConstructionMeta("product", name, (), (A, B))
-    gens = tuple(g * nB for g in A.generators) + tuple(B.generators)
+    gens = tuple(g * B.order for g in A.generators) + tuple(B.generators)
     return GroupTable(table, meta, gens)
 
 
@@ -730,33 +742,20 @@ def semidirect_product(H: GroupTable, K: GroupTable, action) -> GroupTable:
         bad = (P[TK[k1]] != P[k1][P]).any(axis=1)
         if bad.any():
             raise NotHomomorphism(f"action is not a homomorphism at the pair ({k1}, {int(bad.argmax())})")
-    nH, nK = H.order, K.order
-    n = nH * nK
+    n = H.order * K.order
     if n > MAX_ORDER:
         raise OrderLimitExceeded(f"semidirect order {n} exceeds {MAX_ORDER}")
-    dtype = _index_dtype(n)
-    THa = H.table.astype(dtype)
-    TKa = K.table.astype(dtype)
-    table = np.empty((n, n), dtype=dtype)
-    for k1 in range(nK):
-        twist = THa[:, np.asarray(phi[k1], dtype=dtype)]
-        block = twist[:, :, None] * nK + TKa[k1][None, None, :]
-        table[k1::nK, :] = block.reshape(nH, n)
+    table = _block_product(TH[:, P], TK)
     name = f"{H.meta.name}:{K.meta.name}"
     meta = ConstructionMeta("semidirect", name, (), (H, K))
-    gens = tuple(h * nK for h in H.generators) + tuple(K.generators)
+    gens = tuple(h * K.order for h in H.generators) + tuple(K.generators)
     return GroupTable(table, meta, gens)
 
 
 def _build_w() -> GroupTable:
     """The order-20 group C5 : C4 with the generator of C4 squaring C5."""
-    H = _build_cyclic(5)
-    K = _build_cyclic(4)
-    action = []
-    for k in range(4):
-        mult = pow(2, k, 5)
-        action.append(tuple((mult * h) % 5 for h in range(5)))
-    G = semidirect_product(H, K, action)
+    action = [tuple(h * 2**k % 5 for h in range(5)) for k in range(4)]
+    G = semidirect_product(_build_cyclic(5), _build_cyclic(4), action)
     meta = ConstructionMeta("w", "W", (), G.meta.children)
     return GroupTable(G.table, meta, G.generators)
 

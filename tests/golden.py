@@ -31,11 +31,19 @@ for mode in ("auto", "exhaustive"):
         cert = None if d.certificate is None else d.certificate.to_json(entry.display)
         print(mode, entry.display, d.status, d.method, json.dumps(cert, sort_keys=True), sep="\t")
 """,
+    # Field tables are hashed as int64 arrays, so lists and arrays print alike.
     "tables": r"""
 import hashlib
+import numpy as np
+from ecov.gf import factor_prime_power, small_field
 from ecov.groups import build_group
+for q in range(2, 33):
+    if factor_prime_power(q):
+        F = small_field(q)
+        hashes = [hashlib.sha256(np.asarray(t, dtype=np.int64).tobytes()).hexdigest() for t in (F.add, F.mul, F.neg, F.inv)]
+        print(f"GF({q})", F.p, F.k, *hashes, sep="\t")
 specs = [f"S{n}" for n in range(3, 8)] + [f"A{n}" for n in range(4, 8)]
-specs += [f"PSL(2,{q})" for q in (4, 5, 7, 8, 9, 11, 13, 16, 25)] + ["M11", "S4xC2", "A5xC3"]
+specs += [f"PSL(2,{q})" for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)] + ["M11", "S4xC2", "A5xC3"]
 specs += ["E(2,12)", "E(3,7)", "E(5,5)"]
 for spec in specs:
     G = build_group(spec)
@@ -112,16 +120,13 @@ for entry in catalog(240):
         for N in normal_subgroups_direct(G):
             print(entry.display, list(N.generators), list(N.members), sep="\t")
 """,
-    # A tree whose get_lattice takes an order limit is passed one above M11's order.
     "big-lattices": r"""
 import hashlib
-import inspect
 import json
 from ecov.groups import build_group
 from ecov.lattice import get_lattice, lattice_to_json
-limit = (10_000,) if len(inspect.signature(get_lattice).parameters) > 1 else ()
 for spec in ("PSL(2,7)", "PSL(2,8)", "A6", "PSL(2,9)", "PSL(2,11)", "PSL(2,13)", "S6", "A7", "PSL(2,16)", "S7", "PSL(2,25)", "M11"):
-    doc = json.dumps(lattice_to_json(get_lattice(build_group(spec), *limit)))
+    doc = json.dumps(lattice_to_json(get_lattice(build_group(spec))))
     print(spec, hashlib.sha256(doc.encode()).hexdigest(), sep="\t")
 """,
     # One process runs every command, so state one call leaves behind shows in the next.

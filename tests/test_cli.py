@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -555,6 +557,23 @@ def test_huge_degree_exits_3_without_the_factorial(spec, bound):
     proc = run("describe", spec, timeout=60)
     assert proc.returncode == 3
     assert proc.stderr == f"resource limit: {spec} has order at least 2^{bound}, above the limit 10000\n"
+
+
+def test_perm_orbit_above_the_limit_exits_3_before_the_closure(tmp_path):
+    """A 12,007-cycle generates C12007.  Closing it holds more than 10,000
+    image rows of 12,007 points before it passes the limit, gigabytes, and
+    dies of a MemoryError under a 1 GiB address-space limit.  The orbit
+    alone bounds the order, so the refusal comes first."""
+    path = tmp_path / "cycle.txt"
+    path.write_text("(" + ",".join(str(i) for i in range(1, 12008)) + ")\n", encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = run("describe", f"perm:{path}", timeout=60, preexec_fn=limit_memory, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr == f"resource limit: perm:{path}: an orbit has more than 10000 points, so the order exceeds the limit\n"
 
 
 def test_check_rejects_non_associative_cayley_file(tmp_path):

@@ -72,6 +72,8 @@ def test_certificate_json_roundtrip():
         Certificate("NoSuchMode", ((0,),))
     with pytest.raises(SpecError):
         Certificate.from_json({"mode": "EqualCovering"})
+    with pytest.raises(SpecError, match=r"^unknown certificate mode 'NoSuchMode'$"):
+        Certificate.from_json({"mode": "NoSuchMode", "members": [[0]]})
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ecov.errors import (
     SpecError,
     UnknownFamily,
 )
+from ecov.gf import factor_prime_power, small_field
 from ecov.groups import (
     _generating_set,
     _light_witness,
@@ -203,7 +205,31 @@ def _twisted_cyclic_reference(order: int, m: int, shift: int) -> np.ndarray:
     return rot + m * (e[:, None] ^ e[None, :])
 
 
-def test_dihedral_and_dicyclic_tables_match_the_int64_formula():
+def _pair_reference(TH: np.ndarray, TK: np.ndarray, P) -> Callable[[np.ndarray], np.ndarray]:
+    """Rows of the H : K table by its int64 definition: (h1, k1)(h2, k2) =
+    (h1 * P[k1][h2], k1 k2), with (h, k) at h*|K| + k.  With P[k] the
+    identity for every k it is the direct product H x K."""
+    TH, TK, P = (np.asarray(a, dtype=np.int64) for a in (TH, TK, P))
+    nK = len(TK)
+    cols = np.arange(len(TH) * nK)
+    h2, k2 = cols // nK, cols % nK
+
+    def rows(r: np.ndarray) -> np.ndarray:
+        h1, k1 = r[:, None] // nK, r[:, None] % nK
+        return TH[h1, P[k1, h2]] * nK + TK[k1, k2]
+
+    return rows
+
+
+def _assert_rows_match(table: np.ndarray, reference: Callable[[np.ndarray], np.ndarray], name: str) -> None:
+    # Block by block, so no int64 square of the largest tables is built.
+    assert table.dtype == np.int16, name
+    for start in range(0, len(table), 512):
+        r = np.arange(start, min(len(table), start + 512))
+        assert np.array_equal(table[r], reference(r)), (name, start)
+
+
+def test_dihedral_and_dicyclic_tables_match_the_int64_formula(grp):
     # Every order up to 400 and the largest up to 2,000.
     for order in [*range(2, 401, 2), 1000, 1998, 2000]:
         table = groups._build_dihedral(order).table
@@ -213,6 +239,97 @@ def test_dihedral_and_dicyclic_tables_match_the_int64_formula():
         table = groups._build_dicyclic(n).table
         assert table.dtype == np.int16
         assert np.array_equal(table, _twisted_cyclic_reference(4 * n, 2 * n, n)), n
+    # C_n, reduced by one subtraction, against (i + j) % n up to the order limit.
+    for n in [*range(1, 301), 4096, 9973, 10000]:
+        _assert_rows_match(groups._build_cyclic(n).table, lambda r: (r[:, None] + np.arange(n)) % n, f"C{n}")
+    # Direct products, built as one block product, against their definition.
+    for a, b in [("C2", "A7"), ("A7", "C2"), ("C12", "C20"), ("S3", "C4"), ("C4", "S3"), ("Q8", "D10"), ("E(2,3)", "S4")]:
+        A, B = grp(a), grp(b)
+        identity = [range(A.order)] * B.order
+        _assert_rows_match(direct_product(A, B).table, _pair_reference(A.table, B.table, identity), f"{a}x{b}")
+    for spec in ("C2xA7", "A7xC2", "C2xS3xC2"):
+        G = grp(spec)
+        A, B = G.meta.children
+        _assert_rows_match(G.table, _pair_reference(A.table, B.table, [range(A.order)] * B.order), spec)
+    # Semidirect products: W, C7:C3, V4:C3 (A4), C3:C2 (S3), and S3 and A5
+    # twisted by an inner automorphism of order 2.
+    actions = [
+        ("C5", "C4", [[h * 2**k % 5 for h in range(5)] for k in range(4)]),
+        ("C7", "C3", [[h * 2**k % 7 for h in range(7)] for k in range(3)]),
+        ("E(2,2)", "C3", [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]),
+        ("C3", "C2", [[0, 1, 2], [0, 2, 1]]),
+    ]
+    for spec in ("S3", "A5"):
+        H = grp(spec)
+        g = H.element_orders().index(2)
+        T = H.table.tolist()
+        actions.append((spec, "C2", [list(range(H.order)), [T[T[g][x]][H.inverse[g]] for x in range(H.order)]]))
+    for h, k, action in actions:
+        H, K = grp(h), grp(k)
+        _assert_rows_match(semidirect_product(H, K, action).table, _pair_reference(H.table, K.table, action), f"{h}:{k}")
+    _assert_rows_match(grp("W").table, _pair_reference(grp("C5").table, grp("C4").table, actions[0][2]), "W")
+
+
+_PRIME_POWERS = [q for q in range(2, 33) if factor_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", _PRIME_POWERS)
+def test_small_field_satisfies_the_field_axioms(q):
+    F = small_field(q)
+    A, M = np.array(F.add), np.array(F.mul)
+    x = np.arange(q)
+    digits = x[:, None] // F.p ** np.arange(F.k) % F.p
+    assert (F.p**F.k, F.q) == (q, q)
+    # Addition is digit-wise mod p: the base-p digit encoding.
+    assert np.array_equal(A, (digits[:, None] + digits[None, :]) % F.p @ F.p ** np.arange(F.k))
+    for T in (A, M):
+        assert np.array_equal(T, T.T)
+        assert np.array_equal(T[T[:, :, None], x], T[x[:, None, None], T[None, :, :]])
+    assert np.array_equal(A[0], x) and np.array_equal(M[1], x) and not M[0].any()
+    assert (A[x, F.neg] == 0).all()
+    assert F.inv[0] == 0 and (M[x[1:], np.array(F.inv)[1:]] == 1).all()
+    assert np.array_equal(M[x[:, None, None], A[None, :, :]], A[M[:, :, None], M[:, None, :]])
+    assert all(F.div(a, b) == M[a, F.inv[b]] for a in range(q) for b in range(1, q))
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, 0)
+
+
+def _poly_remainder(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod the monic g over GF(p), coefficients least significant first."""
+    f, d = list(f), len(g) - 1
+    for top in range(len(f) - 1, d - 1, -1):
+        c = f[top]
+        for i, gi in enumerate(g):
+            f[top - d + i] = (f[top - d + i] - c * gi) % p
+    return f[:d]
+
+
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1 to deg(f) / 2."""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for low in range(p**d):
+            if not any(_poly_remainder(f, [low // p**i % p for i in range(d)] + [1], p)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q", _PRIME_POWERS)
+def test_small_field_modulus_is_the_first_monic_irreducible(q):
+    # The moduli x^k + c(x) are searched with c read as a base-p number.
+    F = small_field(q)
+    p, k = F.p, F.k
+    first = next(c for c in range(q) if _is_irreducible([c // p**i % p for i in range(k)] + [1], p))
+    if k == 1:
+        assert first == 0  # the modulus x: plain mod-p arithmetic
+        assert F.mul == [[a * b % p for b in range(p)] for a in range(p)]
+        return
+    # x is the element p; x^i is p^i below degree k, and x^k = -c(x).
+    power = 1
+    for i in range(k):
+        assert power == p**i
+        power = F.mul[power][p]
+    assert F.neg[power] == first
 
 
 def test_psl_2_8_order_and_exponent(grp):
