@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import is_abelian, is_nilpotent, is_simple, is_square_free_distinct_primes
-from .covering import decide, decide_with_hints, load_hints
+from .covering import _decide_hint_doc, decide, load_hints
 from .errors import EcovError, SpecError, UnknownFormat
 from .groups import GroupSpec, _is_prime, build_group, exponent, parse_group_spec, spec_order
 
@@ -231,13 +231,7 @@ def _hint_rows(paths: list[Path], result: CensusResult) -> list[CensusRow]:
         try:
             doc = load_hints(str(path))
             t0 = time.perf_counter()
-            decision = decide_with_hints(
-                doc["name"],
-                doc["order"],
-                doc["exponent"],
-                doc["maximal_orders"],
-                doc.get("exponent_multiple_union_covers"),
-            )
+            decision = _decide_hint_doc(doc)
             elapsed = (time.perf_counter() - t0) * 1000.0
         except EcovError as exc:
             result.errors.append(f"{path.name}: {exc}")

@@ -12,8 +12,8 @@ from .census import catalog, emit, run_census
 from .covering import (
     INFINITY,
     Certificate,
+    _decide_hint_doc,
     decide,
-    decide_with_hints,
     epsilon,
     equal_partition_exists,
     load_hints,
@@ -204,13 +204,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_hints_check(args) -> int:
     doc = load_hints(args.hints_file)
-    decision = decide_with_hints(
-        doc["name"],
-        doc["order"],
-        doc["exponent"],
-        doc["maximal_orders"],
-        doc.get("exponent_multiple_union_covers"),
-    )
+    decision = _decide_hint_doc(doc)
     _deliver(
         f"{doc['name']}: {decision.status} — {decision.method} ({decision.citation})",
         args.out,

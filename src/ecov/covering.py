@@ -18,11 +18,12 @@ q^ceil(k/2) + 1 on E(q,k) (Beutelspacher 1979).  Other groups go to one
 branch-and-bound search, _min_cover, whose partition mode differs only in
 keeping live the members disjoint from what is covered and in its
 branching pick.  The search has no greedy start: it counts only covers
-smaller than the bound it is given.  One work budget, _SEARCH_BUDGET,
-bounds all three searches; a node costs 1 plus the candidate members it
-reads.  Every witness is verified the same way.  equal_partition_exists
-answers by Isaacs' theorem, with no search.  A function that needs the
-subgroup lattice takes it from get_lattice, which caches it on the group.
+smaller than the bound it is given.  Each search spends a lattice._Budget,
+the subgroup enumeration's class, of _SEARCH_BUDGET units; a node costs 1
+plus the candidate members it reads.  Every witness is verified the same
+way.  equal_partition_exists answers by Isaacs' theorem, with no search.  A
+function that needs the subgroup lattice takes it from get_lattice, which
+caches it on the group.
 """
 from __future__ import annotations
 
@@ -54,10 +55,11 @@ from .errors import (
     SearchBudgetExceeded,
     SpecError,
 )
-from .groups import GroupTable, _gather_blocks, _read_user_file, exponent, quotient
+from .groups import GroupTable, _first_escape, _read_user_file, exponent, quotient
 from .lattice import (
     Subgroup,
     SubgroupLattice,
+    _Budget,
     _mask,
     get_lattice,
     maximal_subgroups,
@@ -196,7 +198,7 @@ def _is_subgroup(G: GroupTable, members: tuple[int, ...]) -> bool:
     m = np.asarray(members, dtype=np.intp)
     inside = np.zeros(G.order, dtype=bool)
     inside[m] = True
-    return all(inside[block].all() for _, block in _gather_blocks(G.table, m, m))
+    return _first_escape(G.table, m, inside) is None
 
 
 def verify_certificate(G: GroupTable, cert: Certificate) -> CertificateReport:
@@ -502,6 +504,13 @@ def load_hints(path: str) -> dict:
     return doc
 
 
+def _decide_hint_doc(doc: dict) -> Decision:
+    """decide_with_hints on a document that load_hints returned."""
+    return decide_with_hints(
+        doc["name"], doc["order"], doc["exponent"], doc["maximal_orders"], doc.get("exponent_multiple_union_covers")
+    )
+
+
 def decide_with_hints(
     name: str,
     order: int,
@@ -532,24 +541,6 @@ def decide_with_hints(
 
 # ---------------------------------------------------------------------------
 # Branch-and-bound searches
-
-
-class _Budget:
-    """Work units a search may spend: a node costs 1 plus the candidate
-    members it reads, so cover and partition nodes are charged alike."""
-
-    __slots__ = ("spent", "limit")
-
-    def __init__(self, limit: int):
-        self.spent = 0
-        self.limit = limit
-
-    def tick(self, cost: int):
-        self.spent += cost
-        if self.spent > self.limit:
-            raise SearchBudgetExceeded(
-                f"search exceeded {self.limit} work units; the instance is beyond desk scale"
-            )
 
 
 def _min_cover(
@@ -679,7 +670,7 @@ def sigma(G: GroupTable) -> SigmaResult:
         (3, "no group is the union of two proper subgroups"),
         (p + 1, f"no union of {p} or fewer proper subgroups covers (least prime {p})"),
     ]
-    found = _min_cover(maximal_subgroups(L), n, lower, _Budget(_SEARCH_BUDGET))
+    found = _min_cover(maximal_subgroups(L), n, lower, _Budget(_SEARCH_BUDGET, SearchBudgetExceeded, "search"))
     if found is None:  # pragma: no cover - non-cyclic groups are always coverable
         raise AssertionError("maximal subgroups fail to cover a non-cyclic group")
     value, chosen = found
@@ -706,7 +697,7 @@ def epsilon(G: GroupTable) -> tuple[int | float, Certificate | None]:
     n = G.order
     p = smallest_prime_divisor(n)
     stop_at = max(3, p + 1)
-    budget = _Budget(_SEARCH_BUDGET)
+    budget = _Budget(_SEARCH_BUDGET, SearchBudgetExceeded, "search")
     best: int | float = INFINITY
     best_family: tuple[Subgroup, ...] = ()
     for d in reversed(qualifying_divisors(n, exponent(G))):
@@ -784,7 +775,7 @@ def rho(G: GroupTable) -> tuple[int | float, Certificate | None]:
     L = get_lattice(G)
     blocks = [s for s in L.subgroups if 1 < s.order < n]
     lower = min((1 + -(-(n - m) // (min(m, n // m) - 1)) for m in {s.order for s in blocks}), default=0)
-    found = _min_cover(blocks, n, lower, _Budget(_SEARCH_BUDGET), disjoint=True)
+    found = _min_cover(blocks, n, lower, _Budget(_SEARCH_BUDGET, SearchBudgetExceeded, "search"), disjoint=True)
     if found is None:
         return INFINITY, None
     value, chosen = found

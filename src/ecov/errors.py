@@ -93,11 +93,11 @@ class OrderLimitExceeded(ResourceLimitExceeded):
 
 
 class LatticeLimitExceeded(ResourceLimitExceeded):
-    """Subgroup enumeration spent its work budget (lattice._LATTICE_BUDGET)."""
+    """Subgroup enumeration spent its lattice._Budget of lattice._LATTICE_BUDGET units."""
 
 
 class SearchBudgetExceeded(ResourceLimitExceeded):
-    """A search spent its work budget."""
+    """A sigma, epsilon or rho search spent its lattice._Budget of covering._SEARCH_BUDGET units."""
 
 
 class UndefinedForOne(EcovError):

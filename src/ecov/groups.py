@@ -387,6 +387,17 @@ def _gather_blocks(T: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         yield start, T[rows[start:start + block]][:, cols]
 
 
+def _first_escape(T: np.ndarray, members: np.ndarray, inside: np.ndarray) -> tuple[int, int] | None:
+    """The first (i, j), in row order, with T[members[i], members[j]] outside
+    the mask ``inside``; None when the members are closed under the product."""
+    for start, block in _gather_blocks(T, members, members):
+        closed = inside[block]
+        if not closed.all():
+            i, j = divmod(int(closed.argmin()), len(members))
+            return start + i, j
+    return None
+
+
 def _right_inverses(T: np.ndarray) -> np.ndarray:
     """For each row x, the first y with T[x, y] == 0 (0 when the row has none).
 
@@ -775,11 +786,9 @@ def quotient(G: GroupTable, members) -> tuple[GroupTable, tuple[int, ...]]:
     m = np.asarray(mem, dtype=np.intp)
     inside = np.zeros(G.order, dtype=bool)
     inside[m] = True
-    for start, block in _gather_blocks(T, m, m):
-        escapes = ~inside[block]
-        if escapes.any():
-            i, j = np.argwhere(escapes)[0]
-            raise NotNormal(f"member set is not closed: {mem[start + i]}*{mem[j]} escapes")
+    escape = _first_escape(T, m, inside)
+    if escape is not None:
+        raise NotNormal(f"member set is not closed: {mem[escape[0]]}*{mem[escape[1]]} escapes")
     for g in G.generators:
         moved = ~inside[T[T[g, m], G.inverse[g]]]
         if moved.any():

@@ -14,8 +14,8 @@ Every closure goes through one kernel, ``groups._close``: a seed closed
 under index maps, which are the conjugation maps or rows of the table,
 left multiplications read in place as memoryviews, so no closure copies
 the table.  A normal closure takes its seed elements' rows.
-The enumeration charges its work against one budget, _LATTICE_BUDGET, and
-raises LatticeLimitExceeded once it is spent, so the cost of a lattice,
+The enumeration charges its work to one _Budget, which raises
+LatticeLimitExceeded past _LATTICE_BUDGET units, so the cost of a lattice,
 not the group's order, decides whether it is built.  Normal subgroups can
 also be found without the full lattice, as joins of the normal closures of
 element classes, so decision rules can run on groups whose lattice is
@@ -47,6 +47,21 @@ __all__ = [
 ]
 
 _LATTICE_BUDGET = 60_000_000
+
+
+class _Budget:
+    """Work units a computation may spend; past the limit, tick raises
+    ``error`` with a message that names ``subject``."""
+
+    __slots__ = ("spent", "limit", "error", "subject")
+
+    def __init__(self, limit: int, error: type[Exception], subject: str):
+        self.spent, self.limit, self.error, self.subject = 0, limit, error, subject
+
+    def tick(self, cost: int):
+        self.spent += cost
+        if self.spent > self.limit:
+            raise self.error(f"{self.subject} exceeded {self.limit} work units; the instance is beyond desk scale")
 
 
 def _mask(members) -> int:
@@ -175,7 +190,7 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     minimum), one table entry that the normaliser pruning reads (one per
     conjugate it forms) or a closure reads (its size, or n // 2 + 1 when it
     passes half of G, times its generators), or one member of a new class.
-    Past _LATTICE_BUDGET units the enumeration raises LatticeLimitExceeded.
+    Past _LATTICE_BUDGET units, the enumeration's _Budget raises LatticeLimitExceeded.
     """
     n = G.order
     R = [memoryview(row) for row in G.table]  # R[a][b] is a*b, read from the table in place
@@ -185,10 +200,9 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     seen: dict[int, Subgroup] = {}
     orbits: list[list[Subgroup]] = []
     maximal: set[int] = set()
-    spent = 0
+    budget = _Budget(_LATTICE_BUDGET, LatticeLimitExceeded, "subgroup enumeration")
 
     def add_class(K: Subgroup) -> list[Subgroup]:
-        nonlocal spent
         seen[K.mask] = K
         orbit = [K]
         for S in orbit:
@@ -203,7 +217,7 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
                     seen[mask] = C
                     orbit.append(C)
         orbits.append(orbit)
-        spent += K.order * len(orbit)
+        budget.tick(K.order * len(orbit))
         return orbit
 
     worklist = [add_class(Subgroup.from_members((0,), ()))]
@@ -218,7 +232,7 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
             minima.append(g)
             for h in H.members:
                 covered |= 1 << R[h][g]
-        spent += n - 1 + H.order * len(minima)
+        budget.tick(n - 1 + H.order * len(minima))
         if maps and len(minima) > 1:  # a lone minimum is its own orbit
             index = n // (H.order * len(orbit))  # |N_G(H) : H|
             known = index in (1, len(minima) + 1)  # N_G(H) is H or G; else Hg lies in it when g^-1 H g = H
@@ -231,22 +245,18 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
                     kept.append(g)
                     reached.update([label[R[rx[g]][x]] for rx, x in conj])  # cosets of x^-1 g x
             minima = kept
-            spent += len(conj) * len(kept)
+            budget.tick(len(conj) * len(kept))
         any_proper = False
         for g in minima:
             gens = H.generators + (g,)
             members = _close([R[x] for x in gens], H.members + (g,), n // 2)
-            spent += (n // 2 + 1 if members is None else len(members)) * len(gens)
+            budget.tick((n // 2 + 1 if members is None else len(members)) * len(gens))
             any_proper = any_proper or members is not None
             K = _subgroup(G, members, gens)
             if K.mask not in seen:
                 added = add_class(K)
                 if K.order < n:
                     worklist.append(added)
-            if spent > _LATTICE_BUDGET:
-                raise LatticeLimitExceeded(
-                    f"subgroup enumeration exceeded {_LATTICE_BUDGET} work units; the instance is beyond desk scale"
-                )
         if H.order < n and not any_proper:
             maximal.update(S.mask for S in orbit)
     subs = tuple(sorted(seen.values(), key=lambda s: (s.order, s.members)))

@@ -20,6 +20,7 @@ from ecov.covering import (
     _witness,
     qualifying_divisors,
 )
+from ecov.errors import SearchBudgetExceeded
 from ecov.groups import GroupTable, _close, _is_prime, build_group, exponent, quotient
 from ecov.lattice import Subgroup, SubgroupLattice, get_lattice
 
@@ -145,7 +146,7 @@ def equal_partition_by_search(G: GroupTable) -> tuple[bool, Certificate | None]:
         if fams is None:
             continue
         if not _is_prime(d):
-            found = _min_cover(fams, n, (n - 1) // (d - 1), _Budget(_SEARCH_BUDGET), disjoint=True)
+            found = _min_cover(fams, n, (n - 1) // (d - 1), _Budget(_SEARCH_BUDGET, SearchBudgetExceeded, "search"), disjoint=True)
             if found is None:
                 continue
             fams = found[1]

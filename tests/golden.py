@@ -201,6 +201,45 @@ for key, spec in groups:
             value = type(exc).__name__
         print(key, name, value, sep="\t")
 """,
+    # Each threshold is bisected on the module constants alone, which both
+    # modules read at call time, so the same code runs on any tree.
+    "budgets": r"""
+from ecov import covering, lattice
+from ecov.analysis import is_nilpotent
+from ecov.errors import ResourceLimitExceeded
+from ecov.groups import build_group
+
+def outcome(module, name, limit, run):
+    setattr(module, name, limit)
+    try:
+        run()
+        return None
+    except ResourceLimitExceeded as exc:
+        return str(exc)
+
+def least(module, name, run):
+    default = getattr(module, name)
+    lo, hi = -1, 0  # run raises under lo (if lo >= 0); hi is tried next
+    while outcome(module, name, hi, run) is not None:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outcome(module, name, mid, run) is None:
+            hi = mid
+        else:
+            lo = mid
+    below = outcome(module, name, hi - 1, run)
+    setattr(module, name, default)
+    return hi, "completes" if below is None else below
+
+for spec in ("S4", "A4", "D12", "S5", "A5", "PSL(2,7)", "E(2,4)"):
+    G = build_group(spec)
+    print(spec, "lattice", *least(lattice, "_LATTICE_BUDGET", lambda: lattice.enumerate_subgroups(G)), sep="\t")
+    if not is_nilpotent(G):
+        lattice.get_lattice(G)
+        for search in (covering.sigma, covering.epsilon, covering.rho):
+            print(spec, search.__name__, *least(covering, "_SEARCH_BUDGET", lambda: search(G)), sep="\t")
+""",
 }
 
 

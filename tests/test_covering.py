@@ -628,7 +628,7 @@ def test_set_cover_bound_ignores_the_identity_bit(grp, spec, order, value, disjo
     subs = maximal_subgroups(L) if order is None else L.of_order(order)
     runs = []
     for family in (subs, [Subgroup(s.mask & ~1, s.members, s.generators) for s in subs]):
-        budget = _Budget(10**6)
+        budget = _Budget(10**6, SearchBudgetExceeded, "search")
         size, chosen = _min_cover(family, G.order, 0, budget, disjoint=disjoint)
         runs.append((size, [s.members for s in chosen], budget.spent))
     assert runs[0] == runs[1]
@@ -639,9 +639,9 @@ def test_set_cover_counts_only_covers_below_the_bound(grp):
     """Covers of the bound's size or more are no answer, nor is a family that does not cover."""
     G = grp("E(2,3)")
     subs = maximal_subgroups(get_lattice(G))
-    assert _min_cover(subs, G.order, 3, _Budget(10**6), 4)[0] == 3
-    assert _min_cover(subs, G.order, 0, _Budget(10**6), 3) is None
-    assert _min_cover(subs[:2], G.order, 0, _Budget(10**6)) is None
+    assert _min_cover(subs, G.order, 3, _Budget(10**6, SearchBudgetExceeded, "search"), 4)[0] == 3
+    assert _min_cover(subs, G.order, 0, _Budget(10**6, SearchBudgetExceeded, "search"), 3) is None
+    assert _min_cover(subs[:2], G.order, 0, _Budget(10**6, SearchBudgetExceeded, "search")) is None
 
 
 def test_sigma_of_cyclic_is_infinite(grp):

@@ -12,9 +12,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ecov import lattice
+from ecov import covering, lattice
 from ecov.analysis import is_abelian
 from ecov.census import catalog
+from ecov.errors import LatticeLimitExceeded, SearchBudgetExceeded
 from ecov.groups import _close, build_group
 from ecov.lattice import (
     Subgroup,
@@ -213,6 +214,64 @@ def test_lattice_limit_enforced():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
     assert int(proc.stdout) < 160 * 1024  # kB; about 40 MB on Linux with numpy loaded
+
+
+def recording_budgets(monkeypatch, module) -> list:
+    """Patch module's _Budget with a subclass that keeps every budget it makes."""
+    budgets = []
+
+    class Recording(lattice._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(module, "_Budget", Recording)
+    return budgets
+
+
+# Units of one enumeration, measured before the lattice and the searches
+# shared one budget class.  E(2,4) is abelian, so the normaliser pruning
+# charges nothing there; S5 and PSL(2,7) show that charge.
+@pytest.mark.parametrize(
+    "spec,units",
+    [("S4", 1_312), ("D8", 299), ("A5", 2_878), ("S5", 14_728), ("PSL(2,7)", 15_660), ("E(2,4)", 5_992), ("E(2,6)", 1_558_736)],
+)
+def test_lattice_spends_its_measured_units_and_stops_one_below(monkeypatch, spec, units):
+    budgets = recording_budgets(monkeypatch, lattice)
+    G = build_group(spec)
+    whole = enumerate_subgroups(G)
+    assert [b.spent for b in budgets] == [units]
+    monkeypatch.setattr(lattice, "_LATTICE_BUDGET", units)
+    assert len(enumerate_subgroups(G)) == len(whole)
+    monkeypatch.setattr(lattice, "_LATTICE_BUDGET", units - 1)
+    with pytest.raises(LatticeLimitExceeded) as exc:
+        enumerate_subgroups(G)
+    assert str(exc.value) == f"subgroup enumeration exceeded {units - 1} work units; the instance is beyond desk scale"
+
+
+# Units of one search, measured as above.  The E(2,6) partition search is
+# the search budget's binding case: with no group seen as nilpotent or
+# abelian, rho reaches it instead of the Desarguesian spread.
+@pytest.mark.parametrize(
+    "spec,name,units",
+    [
+        ("S4", "sigma", 11), ("S4", "rho", 723), ("D12", "epsilon", 7), ("D12", "rho", 104), ("S5", "sigma", 395),
+        ("A5", "rho", 21_533), ("PSL(2,7)", "sigma", 341), ("E(2,6)", "rho", 4_688_566),
+    ],
+)
+def test_searches_spend_their_measured_units_and_stop_one_below(grp, monkeypatch, spec, name, units):
+    monkeypatch.setattr(covering, "is_nilpotent", lambda G: False)
+    monkeypatch.setattr(covering, "is_abelian", lambda G: False)
+    G = grp(spec)
+    get_lattice(G)
+    search = getattr(covering, name)
+    budgets = recording_budgets(monkeypatch, covering)
+    search(G)
+    assert [b.spent for b in budgets] == [units]
+    monkeypatch.setattr(covering, "_SEARCH_BUDGET", units - 1)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        search(G)
+    assert str(exc.value) == f"search exceeded {units - 1} work units; the instance is beyond desk scale"
 
 
 def test_q8_maximal_subgroups(grp):
