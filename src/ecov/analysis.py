@@ -2,10 +2,11 @@
 
 Everything here works directly on multiplication tables.  Nilpotency is
 read from the cached element orders by counting Sylow subgroups.  The
-elementary abelian quotient helpers expose, for a prime p, the largest
-exponent-p abelian quotient together with its index-p subgroup pullbacks;
-those give covering certificates for p-groups and nilpotent groups without
-touching the full subgroup lattice.
+elementary abelian quotient helpers find, for a prime p, the kernel N of
+the largest exponent-p abelian quotient, read GF(p) coordinates of G/N off
+G's own table, with no quotient table, and list the index-p subgroups as
+kernels of functionals on them; those give covering certificates for
+p-groups and nilpotent groups without touching the full subgroup lattice.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, _is_prime, _power, exponent, factorize, quotient, smallest_prime_divisor
+from .groups import GroupTable, _is_prime, _power, exponent, factorize, smallest_prime_divisor
 from .lattice import Subgroup, element_conjugacy_classes, normal_closure
 
 __all__ = [
@@ -163,42 +164,33 @@ def elementary_abelian_quotient(G: GroupTable, p: int) -> tuple[int, Subgroup]:
     return k, N
 
 
-def _gf_coordinates(Q: GroupTable, p: int, k: int) -> np.ndarray:
-    """Row x is the coordinate vector over GF(p) of element x of Q, elementary abelian of order p^k.
-
-    The basis is grown greedily from the table: each element not yet reached
-    is the next basis vector, so the span of the first dim basis vectors has
-    zeros from coordinate dim on.
-    """
-    coords = {0: (0,) * k}
-    dim = 0
-    for q in range(1, Q.order):
-        if q in coords:
-            continue
-        times_q = Q.table[:, q].tolist()
-        for x, vx in list(coords.items()):
-            y = x
-            for j in range(1, p):
-                y = times_q[y]
-                coords[y] = vx[:dim] + (j,) + vx[dim + 1:]
-        dim += 1
-    return np.array([coords[q] for q in range(Q.order)])
-
-
 def _elementary_coordinates(G: GroupTable, p: int) -> np.ndarray:
-    """Row x is the _gf_coordinates vector of x's image in G/N, N the kernel
-    of elementary_abelian_quotient; there is one column per unit of rank.
+    """Row x is the coordinate vector over GF(p) of x's image in G/N, N the
+    kernel of elementary_abelian_quotient; there is one column per unit of rank.
 
-    Cosets are numbered by their least member, so the basis vectors are the
-    images of the elements of G, in index order, that are independent of
-    those before them.  For trivial N, G is read directly, with no copy of
-    its table.
+    The coordinates are grown on G's own table.  R starts as the members of N
+    and is a union of cosets of N throughout.  Each basis vector q is the
+    least element outside R, and R becomes R, Rq, ..., Rq^(p-1), in that
+    order, one gather per layer.  So the basis vectors are the images of the
+    elements of G, in index order, that are independent of those before them,
+    and the element at position i of the final R has as its coordinates the
+    base-p digits of i // |N|, least significant first.
     """
     k, N = elementary_abelian_quotient(G, p)
-    if N.order == 1:
-        return _gf_coordinates(G, p, k)
-    Q, proj = quotient(G, N.members)
-    return _gf_coordinates(Q, p, k)[list(proj)]
+    T = G.table
+    R = np.asarray(N.members, dtype=np.intp)
+    reached = np.zeros(G.order, dtype=bool)
+    reached[R] = True
+    for _ in range(k):
+        q = reached.argmin()
+        layers = [R]
+        for _ in range(p - 1):
+            layers.append(T[layers[-1], q])
+        R = np.concatenate(layers)
+        reached[R] = True
+    X = np.empty((G.order, k), dtype=np.int64)
+    X[R] = np.arange(G.order)[:, None] // N.order // p ** np.arange(k) % p
+    return X
 
 
 def _hyperplanes(X: np.ndarray, p: int, r: int) -> list[tuple[int, ...]]:

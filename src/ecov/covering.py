@@ -36,7 +36,6 @@ import numpy as np
 
 from .analysis import (
     _elementary_coordinates,
-    _gf_coordinates,
     _hyperplanes,
     factorize,
     index_p_subgroups,
@@ -231,22 +230,20 @@ def verify_certificate(G: GroupTable, cert: Certificate) -> CertificateReport:
         for i, mem in enumerate(members):
             if len(mem) != base:
                 return CertificateReport(False, "UnequalOrders", (0, i))
-    # Subgroups whose union is G meet pairwise in the identity exactly when
-    # their orders less one sum to n - 1; only then is the pairwise scan skipped.
-    if cert.mode in ("Partition", "EqualPartition") and sum(len(mem) - 1 for mem in members) != n - 1:
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                if masks[i] & masks[j] != 1:
-                    return CertificateReport(False, "BadPairwiseIntersection", (i, j))
-    if cert.mode == "StrictSPartition":
-        s = cert.s_members if cert.s_members is not None else (0,)
-        if any(not 0 <= x < n for x in s) or not _is_subgroup(G, tuple(sorted(set(s)))):
-            return CertificateReport(False, "NotASubgroup", (-1,))
-        smask = _mask(s)
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                if masks[i] & masks[j] != smask:
-                    return CertificateReport(False, "BadPairwiseIntersection", (i, j))
+    if cert.mode in ("Partition", "EqualPartition", "StrictSPartition"):
+        meet = 1  # the mask every two members must meet in
+        if cert.mode == "StrictSPartition":
+            s = cert.s_members if cert.s_members is not None else (0,)
+            if any(not 0 <= x < n for x in s) or not _is_subgroup(G, tuple(sorted(set(s)))):
+                return CertificateReport(False, "NotASubgroup", (-1,))
+            meet = _mask(s)
+        # Subgroups whose union is G meet pairwise in the identity exactly when
+        # their orders less one sum to n - 1; only then is the pairwise scan skipped.
+        if meet != 1 or sum(len(mem) - 1 for mem in members) != n - 1:
+            for i in range(len(masks)):
+                for j in range(i + 1, len(masks)):
+                    if masks[i] & masks[j] != meet:
+                        return CertificateReport(False, "BadPairwiseIntersection", (i, j))
     if cert.mode == "SemiPartition":
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
@@ -366,23 +363,9 @@ def _dihedral(G: GroupTable, pull_back):
     return "Yes", _preimage(klein, 2 * (x // n) + x % 2)
 
 
-def _least_noncyclic_prime(G: GroupTable) -> tuple[int, np.ndarray]:
-    """For a nilpotent non-cyclic G, the least prime p with more than one
-    index-p subgroup, and _elementary_coordinates(G, p).
-
-    Rank k gives (p^k - 1)/(p - 1) index-p subgroups, so more than one means
-    k >= 2, and p is the least prime whose Sylow subgroup is not cyclic.
-    """
-    for p in factorize(G.order):
-        X = _elementary_coordinates(G, p)
-        if X.shape[1] > 1:
-            return p, X
-    raise AssertionError("a non-cyclic nilpotent group has a Sylow subgroup that is not cyclic")  # pragma: no cover
-
-
 def _nilpotent(G: GroupTable, pull_back):
     """Every index_p_subgroups(G, p) member, for the least prime p with more
-    than one (the prime of _least_noncyclic_prime).  T17 and T19 share it: a
+    than one (the prime of _nilpotent_pencil).  T17 and T19 share it: a
     p-group is nilpotent, and its only prime is p."""
     if not is_nilpotent(G):
         return None
@@ -624,10 +607,12 @@ class SigmaResult:
 
 
 def _nilpotent_pencil(G: GroupTable) -> tuple[int, list[Subgroup]] | None:
-    """For a nilpotent non-cyclic G, the prime p of _least_noncyclic_prime and
-    the p + 1 index-p subgroups containing the meet of the first two that
-    index_p_subgroups lists; None when G is not nilpotent.
+    """For a nilpotent non-cyclic G, the least prime p with more than one
+    index-p subgroup and the p + 1 index-p subgroups containing the meet of
+    the first two that index_p_subgroups lists; None when G is not nilpotent.
 
+    Rank k gives (p^k - 1)/(p - 1) index-p subgroups, so more than one means
+    k >= 2, and p is the least prime whose Sylow subgroup is not cyclic.
     Members are listed in sorted order, and the basis vectors are the images
     of the first independent elements, so the first member is the kernel of
     the last coordinate and the second meets it in the kernel of the last
@@ -639,8 +624,11 @@ def _nilpotent_pencil(G: GroupTable) -> tuple[int, list[Subgroup]] | None:
     """
     if not is_nilpotent(G):
         return None
-    p, X = _least_noncyclic_prime(G)
-    return p, [Subgroup.from_members(m) for m in _hyperplanes(X, p, 2)]
+    for p in factorize(G.order):
+        X = _elementary_coordinates(G, p)
+        if X.shape[1] > 1:
+            return p, [Subgroup.from_members(m) for m in _hyperplanes(X, p, 2)]
+    raise AssertionError("a non-cyclic nilpotent group has a Sylow subgroup that is not cyclic")  # pragma: no cover
 
 
 def sigma(G: GroupTable) -> SigmaResult:
@@ -720,8 +708,8 @@ def epsilon(G: GroupTable) -> tuple[int | float, Certificate | None]:
 def _desarguesian_spread(G: GroupTable, p: int) -> list[Subgroup] | None:
     """A least partition of G, elementary abelian of order p^k with k >= 2.
 
-    With t = ceil(k/2) and q = p^t, an element's first t coordinates over a
-    greedy GF(p) basis are the base-p digits of x in GF(q), and the rest
+    With t = ceil(k/2) and q = p^t, an element's first t coordinates of
+    _elementary_coordinates are the base-p digits of x in GF(q), and the rest
     those of y; for odd k this reads G as the hyperplane of GF(q)^2 whose
     last digit is 0.  The q + 1 lines y = λx and x = 0 meet pairwise in 0
     and cover, and for odd k each meets the hyperplane in dimension
@@ -730,12 +718,12 @@ def _desarguesian_spread(G: GroupTable, p: int) -> list[Subgroup] | None:
     """
     from .gf import MAX_Q, small_field
 
-    k = factorize(G.order)[p]
+    C = _elementary_coordinates(G, p)
+    k = C.shape[1]
     t = -(-k // 2)
     if p**t > MAX_Q:
         return None
     F = small_field(p**t)
-    C = _gf_coordinates(G, p, k)
     digits = p ** np.arange(t)
     x, y = C[:, :t] @ digits, C[:, t:] @ digits[:k - t]
     line = np.where(x == 0, F.q, np.array(F.mul)[np.array(F.inv)[x], y])

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 10000
+_INT16_MAX = int(np.iinfo(np.int16).max)  # _index_dtype's bound, read once
 
 # Light's test compares (xg)y with x(gy) over all x, y for one generator g
 # at a time, in blocks of rows holding about this many cells, so the
@@ -464,7 +465,7 @@ def verify_table(table) -> TableReport:
 
 
 def _index_dtype(n: int):
-    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    return np.int16 if n <= _INT16_MAX else np.int32
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 The oracles compute by definition what the tests compare the engine with:
 a generated subgroup, normality, a Klein four quotient, nilpotence by the
 upper central series, the subgroup lattice by extending each class
-representative by every coset minimum, and equal partitions by search.
+representative by every coset minimum, equal partitions by search, and
+GF(p) coordinates through a quotient table.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from ecov.analysis import center_members, is_cyclic
+from ecov.analysis import center_members, elementary_abelian_quotient, is_cyclic
 from ecov.covering import (
     _SEARCH_BUDGET,
     Certificate,
@@ -152,3 +154,28 @@ def equal_partition_by_search(G: GroupTable) -> tuple[bool, Certificate | None]:
             fams = found[1]
         return True, _witness(G, "EqualPartition", "equal_partition_by_search", fams)
     return False, None
+
+
+def elementary_coordinates_through_the_quotient(G: GroupTable, p: int) -> np.ndarray:
+    """GF(p) coordinates of each element's image in G/N, N the elementary kernel.
+
+    The quotient table Q = G/N numbers cosets by their least member.  Each
+    element of Q not yet reached is the next basis vector, and the span so
+    far is extended by its multiples, one dict entry per element.  Row x is
+    the vector of x's coset, read through the projection.
+    """
+    k, N = elementary_abelian_quotient(G, p)
+    Q, proj = quotient(G, N.members)
+    coords = {0: (0,) * k}
+    dim = 0
+    for q in range(1, Q.order):
+        if q in coords:
+            continue
+        times_q = Q.table[:, q].tolist()
+        for x, vx in list(coords.items()):
+            y = x
+            for j in range(1, p):
+                y = times_q[y]
+                coords[y] = vx[:dim] + (j,) + vx[dim + 1:]
+        dim += 1
+    return np.array([coords[q] for q in range(Q.order)])[list(proj)]

@@ -240,6 +240,26 @@ for spec in ("S4", "A4", "D12", "S5", "A5", "PSL(2,7)", "E(2,4)"):
         for search in (covering.sigma, covering.epsilon, covering.rho):
             print(spec, search.__name__, *least(covering, "_SEARCH_BUDGET", lambda: search(G)), sep="\t")
 """,
+    # The theory witnesses: every member of each pencil, spread and equal
+    # partition.  E(2,11) and larger are left out, since they reach the lattice.
+    "witnesses": r"""
+import json
+from ecov.analysis import is_abelian, is_cyclic, is_nilpotent
+from ecov.census import catalog
+from ecov.covering import epsilon, equal_partition_exists, rho, sigma
+from ecov.groups import build_group
+groups = [(entry.display, entry.spec) for entry in catalog(240)]
+groups += [(text, text) for text in ("E(2,9)", "E(3,6)", "E(5,3)", "C6xC21", "C2xC4000")]
+for key, spec in groups:
+    G = build_group(spec)
+    if is_cyclic(G) or not is_nilpotent(G):
+        continue
+    witnesses = [("sigma", sigma(G).witness), ("epsilon", epsilon(G)[1]), ("partition", equal_partition_exists(G)[1])]
+    if is_abelian(G):
+        witnesses.append(("rho", rho(G)[1]))
+    for name, cert in witnesses:
+        print(key, name, json.dumps(None if cert is None else cert.to_json(key), sort_keys=True), sep="\t")
+""",
 }
 
 

@@ -8,8 +8,9 @@ import tracemalloc
 
 import pytest
 
-from ecov import analysis
+from ecov import analysis, covering, groups
 from ecov.analysis import (
+    _elementary_coordinates,
     center_members,
     elementary_abelian_quotient,
     factorize,
@@ -24,12 +25,18 @@ from ecov.analysis import (
     structure_report,
 )
 from ecov.census import catalog
+from ecov.covering import decide, epsilon, rho, sigma
 from ecov.errors import UndefinedForOne
 from ecov.gf import factor_prime_power
 from ecov.groups import _is_prime, build_group, exponent
 from ecov.lattice import get_lattice
 
-from conftest import generated, klein_quotient, nilpotent_by_upper_central_series
+from conftest import (
+    elementary_coordinates_through_the_quotient,
+    generated,
+    klein_quotient,
+    nilpotent_by_upper_central_series,
+)
 
 # ---------------------------------------------------------------------------
 # Integer helpers
@@ -206,7 +213,9 @@ def test_nilpotence_builds_no_quotient(grp, monkeypatch, spec, nilpotent):
     def no_quotient(*args):
         raise AssertionError("quotient called")
 
-    monkeypatch.setattr(analysis, "quotient", no_quotient)
+    # analysis imports no quotient; these are the two bindings left.
+    monkeypatch.setattr(groups, "quotient", no_quotient)
+    monkeypatch.setattr(covering, "quotient", no_quotient)
     G = grp(spec)
     assert is_nilpotent(G) is nilpotent
     assert structure_report(G).is_nilpotent is nilpotent
@@ -334,3 +343,39 @@ def test_exponent_of_elementary_quotient_group(grp):
     Q, _ = quotient(G, kernel.members)
     assert Q.order == 2**rank
     assert exponent(Q) == 2
+
+
+def test_coordinates_grown_on_the_table_match_the_quotient_route():
+    """_elementary_coordinates equals the coordinates read through G/N for
+    every catalog(240) group and every prime dividing its order.  At rank 0
+    only the shape is compared: the quotient route gives a float (n, 0) array."""
+    specs = [entry.spec.text() for entry in catalog(240)] + ["E(2,9)", "E(3,6)", "C6xC21", "C2xC4000"]
+    pairs = 0
+    for spec in specs:
+        G = build_group(spec)
+        for p in factorize(G.order):
+            got, want = _elementary_coordinates(G, p), elementary_coordinates_through_the_quotient(G, p)
+            assert got.shape == want.shape, (spec, p)
+            if want.shape[1]:
+                assert got.dtype == want.dtype and (got == want).all(), (spec, p)
+            pairs += 1
+    assert pairs == 1950
+
+
+def test_nilpotent_invariants_and_decisions_build_no_quotient(monkeypatch):
+    def no_quotient(*args):
+        raise AssertionError("quotient called")
+
+    assert not hasattr(analysis, "quotient")
+    monkeypatch.setattr(groups, "quotient", no_quotient)
+    monkeypatch.setattr(covering, "quotient", no_quotient)
+    checked = 0
+    for entry in catalog(96):
+        G = build_group(entry.spec)
+        if is_nilpotent(G):
+            decide(G)
+            sigma(G)
+            epsilon(G)
+            rho(G)
+            checked += 1
+    assert checked == 254

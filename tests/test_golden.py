@@ -10,10 +10,10 @@ _BUDGET = b"D8\tsigma\tSearchBudgetExceeded\nD8\trho\t5\n"
 _VALUE = b"D8\tsigma\t3\nD8\trho\t5\n"
 
 
-def test_sections_are_the_thirteen_checks():
+def test_sections_are_the_fourteen_checks():
     assert list(golden.SECTIONS) == [
-        "census", "decisions", "tables", "specs", "describe", "orders",
-        "primes", "lattices", "big-lattices", "cli", "nilpotency", "invariants", "budgets",
+        "census", "decisions", "tables", "specs", "describe", "orders", "primes",
+        "lattices", "big-lattices", "cli", "nilpotency", "invariants", "budgets", "witnesses",
     ]
 
 

@@ -758,8 +758,10 @@ def test_semidirect_product_tables_are_groups(grp, H, K, action):
 
 
 def test_quotient_tables_of_the_decision_rules_are_groups(monkeypatch):
-    # Every quotient that T21 (_noncyclic_quotients) and index_p_subgroups
-    # take while deciding catalog(120), recorded at the two call sites.
+    # Every quotient that T21 (_noncyclic_quotients) takes while deciding
+    # catalog(240), recorded at its call site, and the quotient by every
+    # elementary_abelian_quotient kernel of catalog(120), which the index-p
+    # coordinates are read from without building it.
     taken = []
 
     def recording(G, members):
@@ -768,12 +770,13 @@ def test_quotient_tables_of_the_decision_rules_are_groups(monkeypatch):
         return Q, proj
 
     monkeypatch.setattr(covering, "quotient", recording)
-    monkeypatch.setattr(analysis, "quotient", recording)
+    for entry in catalog(240):
+        covering.decide(build_group(entry.spec))
+    assert len(taken) == 104
     for entry in catalog(120):
         G = build_group(entry.spec)
-        covering.decide(G)
         for p in groups.factorize(G.order):
-            analysis.index_p_subgroups(G, p)
+            recording(G, analysis.elementary_abelian_quotient(G, p)[1])
     assert len(taken) > 500
     for label, Q in taken:
         _assert_group_table(Q.table, label)
